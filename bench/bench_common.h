@@ -11,8 +11,9 @@
 /// FEDADMM_BENCH_SEEDS.
 ///
 /// The synthetic datasets stand in for MNIST/FMNIST/CIFAR-10 (the
-/// environment is offline; see DESIGN.md §5). The three stand-ins keep the
-/// real datasets' relative difficulty via increasing noise and channels.
+/// environment is offline; see the README's "Synthetic data" section). The
+/// three stand-ins keep the real datasets' relative difficulty via
+/// increasing noise and channels.
 
 #ifndef FEDADMM_BENCH_BENCH_COMMON_H_
 #define FEDADMM_BENCH_BENCH_COMMON_H_
@@ -103,13 +104,14 @@ inline double TaskTarget(TaskKind kind) {
 
 /// The bench workhorse model: a wide (overparameterized) classifier.
 ///
-/// Substitution note (DESIGN.md §5): the paper's 1.1M-1.7M-parameter CNNs
-/// operate deep in the interpolation regime, which is what makes the ADMM
-/// local subproblems solvable by a few SGD epochs (inexactness ε of Eq. (6)
-/// stays small). At CPU-bench scale a narrow CNN leaves that regime and
-/// all the dual-ascent methods degrade; a wide MLP restores it at tractable
-/// cost. Set FEDADMM_BENCH_MODEL=cnn to use the scaled two-conv CNN
-/// instead; the exact paper CNNs are validated by bench_table2_models.
+/// Substitution note (README, "Synthetic data"): the paper's
+/// 1.1M-1.7M-parameter CNNs operate deep in the interpolation regime,
+/// which is what makes the ADMM local subproblems solvable by a few SGD
+/// epochs (inexactness ε of Eq. (6) stays small). At CPU-bench scale a
+/// narrow CNN leaves that regime and all the dual-ascent methods degrade;
+/// a wide MLP restores it at tractable cost. Set FEDADMM_BENCH_MODEL=cnn
+/// to use the scaled two-conv CNN instead; the exact paper CNNs are
+/// validated by bench_table2_models.
 inline ModelConfig BenchModel(TaskKind task) {
   const bool cnn = GetEnvString("FEDADMM_BENCH_MODEL", "mlp") == "cnn";
   const int channels = task == TaskKind::kCifarLike ? 3 : 1;
@@ -263,9 +265,10 @@ inline void PrintHeader(const std::string& title) {
 /// Prints the standard bench footnote on scale and substitution.
 inline void PrintFootnote() {
   std::printf(
-      "\n* synthetic stand-ins at CPU-bench scale (see DESIGN.md §5). Shapes\n"
-      "  (orderings, trends), not absolute values, are the reproduction\n"
-      "  target. FEDADMM_BENCH_SCALE=large increases scale.\n");
+      "\n* synthetic stand-ins at CPU-bench scale (see the README's\n"
+      "  \"Synthetic data\" section). Shapes (orderings, trends), not\n"
+      "  absolute values, are the reproduction target.\n"
+      "  FEDADMM_BENCH_SCALE=large increases scale.\n");
 }
 
 }  // namespace fedadmm::bench

@@ -12,8 +12,6 @@
 ///   * `lazy`           — touched-clients × 2d × 4 bytes, growing with the
 ///                        union of selected clients (< 5% of dense at this
 ///                        participation within the round budget);
-///   * `quantized:<b>`  — cold clients at ~b/32 of fp32 prices plus the
-///                        in-flight hot set;
 ///   * `tiered:auto`    — the out-of-core backend with a pool auto-sized
 ///                        from the measured schedule: large enough to hold
 ///                        next round's prefetched cohort (4 × max cohort
@@ -23,7 +21,7 @@
 ///                        explicit `tiered:<cap>:<path>` spec passes
 ///                        through untouched.
 ///
-/// `lazy`, `quantized:32`, and `tiered:*` replay bitwise identically to
+/// `lazy` and `tiered:*` replay bitwise identically to
 /// `dense` (the store-equivalence property), so the accuracy column
 /// doubles as a cross-backend checksum: any divergence is a bug, not
 /// noise. The tiered row additionally asserts the out-of-core contract:
@@ -51,7 +49,7 @@
 ///
 /// Knobs: FEDADMM_BENCH_CLIENTS (default 100000), FEDADMM_BENCH_STATE_DIM
 /// (default 128), FEDADMM_BENCH_STORES (default
-/// "dense,lazy,quantized:8,quantized:32,tiered:auto"),
+/// "dense,lazy,tiered:auto"),
 /// FEDADMM_BENCH_ROUNDS (default 32; the touched population must dwarf
 /// the pool for the out-of-core story), FEDADMM_BENCH_SLAB (slab-log
 /// path for tiered:auto), FEDADMM_BENCH_SCALE, FEDADMM_BENCH_CSV,
@@ -103,8 +101,7 @@ int main() {
   const int rounds = RoundBudget(32, 48);
   const double participation = 0.01;
   const std::vector<std::string> store_tokens = ParseCodecList(GetEnvString(
-      "FEDADMM_BENCH_STORES",
-      "dense,lazy,quantized:8,quantized:32,tiered:auto"));
+      "FEDADMM_BENCH_STORES", "dense,lazy,tiered:auto"));
   const std::string slab_path =
       GetEnvString("FEDADMM_BENCH_SLAB", "/tmp/fedadmm_bench_state.slab");
 
@@ -309,8 +306,7 @@ int main() {
     if (token == "dense") {
       dense_acc = acc;
     } else if (!dense_acc.empty() &&
-               (token == "lazy" || token == "quantized:32" ||
-                token.rfind("tiered", 0) == 0)) {
+               (token == "lazy" || token.rfind("tiered", 0) == 0)) {
       // Bitwise backends: the accuracy trajectory is a checksum (only
       // checkable when a dense run preceded in FEDADMM_BENCH_STORES).
       if (acc != dense_acc) {
@@ -335,7 +331,7 @@ int main() {
   }
   std::printf("perf rail written to %s\n", json_path.c_str());
   std::printf(
-      "\nlazy / quantized:32 / tiered trajectories verified bit-identical"
+      "\nlazy / tiered trajectories verified bit-identical"
       "\nto dense. Resident state under partial participation tracks the"
       "\ntouched population (untouched clients read the shared (θ⁰, 0)"
       "\nslot initializers at zero bytes) — except tiered, whose residency"

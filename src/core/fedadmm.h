@@ -74,7 +74,7 @@ struct FedAdmmOptions {
   bool freeze_duals = false;
 
   /// Backend for the per-client (w_i, y_i) pairs (src/state):
-  /// "dense" | "lazy" | "quantized:<b>". Overridden by
+  /// "dense" | "lazy" | "tiered:..." | "sharded:<W>:<inner>". Overridden by
   /// `SimulationConfig::state_store` when that is non-empty.
   std::string state_store = "dense";
 };

@@ -15,7 +15,8 @@
 ///   * a sample is `prototype + Gaussian pixel noise`, optionally shifted by
 ///     ±1 pixel (data augmentation-like jitter increasing difficulty).
 ///
-/// See DESIGN.md §5 for the substitution rationale.
+/// See the README's "Synthetic data" section for the substitution
+/// rationale.
 
 #ifndef FEDADMM_DATA_SYNTHETIC_H_
 #define FEDADMM_DATA_SYNTHETIC_H_

@@ -1,8 +1,8 @@
 /// \file ingest.h
 /// \brief The seam between the federation engine and a serving frontend.
 ///
-/// With an `IngestSource` attached (Simulation::set_ingest), the sync
-/// server loop stops *simulating* the client phase in-process and instead
+/// With an `IngestSource` attached (Simulation::set_ingest), the sync wave
+/// barrier stops *simulating* the client phase in-process and instead
 /// collects the wave from whatever the source feeds it — in src/serve, a
 /// wire-protocol frontend whose clients connect, pull the broadcast, and
 /// push encoded updates over a Transport. The engine keeps everything else:
@@ -19,10 +19,10 @@
 ///     encoder cannot share the server's Rng forks or residual history.
 ///   * `CollectWave(round)` returns one `UpdateMessage` per cohort member,
 ///     in selection order, *including* clients the straggler policy will
-///     reject — the loop's own `SystemModel::JudgeRound` remains the
-///     single judge, and the frontend's connection-level admission
-///     predicate (the same per-client policy function) merely mirrors its
-///     verdicts into ACK frames.
+///     reject — the loop's own admission (each member's completion event,
+///     judged by the policy) remains the single judge, and the frontend's
+///     connection-level admission predicate (the same per-client policy
+///     function) merely mirrors its verdicts into ACK frames.
 ///   * Messages carry decoded payloads (the frontend decodes each upload
 ///     exactly once, on the owning shard worker) with `wire_bytes` stamped
 ///     to the actual frame payload size (-1 when no uplink codec ran), so

@@ -47,10 +47,10 @@ int64_t BilledBytes(double fraction, int64_t per_client) {
 }
 
 // Cached handles into the global metrics registry (stable for the process
-// lifetime). The per-round phase histograms are the engine's time budget:
-// select → dispatch (downlink encode + client wave + size prediction) →
-// aggregate (admission + uplink encode + ServerUpdate) → finalize (eval +
-// bookkeeping).
+// lifetime). The phase histograms are the engine's time budget: select →
+// dispatch (downlink encode + client wave + size prediction) → admit
+// (admission + uplink encode of resolved events) → aggregate (ServerUpdate
+// or AggregateOne) → finalize (eval + bookkeeping).
 struct EngineMetrics {
   obs::Counter* rounds;
   obs::Counter* clients_selected;
@@ -59,6 +59,7 @@ struct EngineMetrics {
   obs::Gauge* state_bytes_resident;
   obs::Histogram* phase_select;
   obs::Histogram* phase_dispatch;
+  obs::Histogram* phase_admit;
   obs::Histogram* phase_aggregate;
   obs::Histogram* phase_finalize;
 };
@@ -75,6 +76,7 @@ EngineMetrics& Metrics() {
     m->state_bytes_resident = registry.gauge("server/state_bytes_resident");
     m->phase_select = registry.histogram("server/phase/select_seconds");
     m->phase_dispatch = registry.histogram("server/phase/dispatch_seconds");
+    m->phase_admit = registry.histogram("server/phase/admit_seconds");
     m->phase_aggregate = registry.histogram("server/phase/aggregate_seconds");
     m->phase_finalize = registry.histogram("server/phase/finalize_seconds");
     return m;
@@ -82,11 +84,9 @@ EngineMetrics& Metrics() {
   return *metrics;
 }
 
-// Checkpoint engine-blob mode tags: a sync blob must never restore an
-// event-mode run (and vice versa) — the layouts differ after the common
-// head.
-constexpr uint8_t kCheckpointSyncTag = 1;
-constexpr uint8_t kCheckpointEventTag = 2;
+// Engine-blob layout version, written first: an older layout (which led
+// with a sync/event tag of 1 or 2) is rejected instead of misparsed.
+constexpr uint8_t kEngineBlobVersion = 3;
 
 void WriteRoundRecord(const RoundRecord& r, ByteWriter* w) {
   w->U32(static_cast<uint32_t>(r.round));
@@ -167,13 +167,15 @@ ServerLoop::ServerLoop(FederatedProblem* problem,
       uplink_codec_(uplink_codec),
       downlink_codec_(downlink_codec),
       ingest_(ingest),
+      barrier_(config.mode == ExecutionMode::kSync),
       master_(config.seed),
       selection_rng_(master_.Fork(kSelectionTag)),
       init_rng_(master_.Fork(kInitTag)),
       pipeline_(uplink_codec, downlink_codec, master_),
       executor_(problem, algorithm, master_, config.num_threads,
                 config.num_shards),
-      theta_(*theta) {}
+      theta_(*theta),
+      queue_(config.num_shards) {}
 
 ServerLoop::~ServerLoop() { algorithm_->DetachReducePool(); }
 
@@ -282,31 +284,46 @@ Result<std::unique_ptr<SlabLog>> ServerLoop::OpenCheckpointLog() {
   return SlabLog::Open(config_.checkpoint_path, /*truncate=*/false);
 }
 
-Status ServerLoop::CheckpointSync(SlabLog* log, const History& history,
-                                  const std::vector<int>& pending_selected,
-                                  bool have_pending) {
+Status ServerLoop::Checkpoint(SlabLog* log, const History& history) {
   ByteWriter writer;
-  writer.U8(kCheckpointSyncTag);
+  writer.U8(kEngineBlobVersion);
+  writer.U8(static_cast<uint8_t>(config_.mode));
   writer.Floats(theta_);
   writer.String(selection_rng_.SerializeState());
   writer.String(algorithm_->SerializeExtraState());
   WriteHistoryBlob(history, &writer);
-  // The next round's cohort is drawn *before* this checkpoint (the
-  // prefetch restructure), so the serialized RNG has already moved past
-  // it; the cohort itself must ride along or the restored run would skip
-  // it.
-  writer.U8(have_pending ? 1 : 0);
-  writer.U32(static_cast<uint32_t>(pending_selected.size()));
-  for (const int client : pending_selected) {
+  writer.F64(now_);
+  writer.I64(sequence_);
+  writer.I64(pending_download_bytes_);
+  writer.I64(pending_download_bytes_raw_);
+  writer.U32(static_cast<uint32_t>(wave_counter_));
+  writer.U32(static_cast<uint32_t>(server_version_));
+  writer.U32(static_cast<uint32_t>(concurrency_));
+  writer.U32(static_cast<uint32_t>(pending_dropped_));
+  writer.U32(static_cast<uint32_t>(pending_partial_));
+  writer.U32(static_cast<uint32_t>(drops_since_aggregate_));
+  writer.U32(static_cast<uint32_t>(buffer_.size()));
+  for (const ClientCompletionEvent& event : buffer_) {
+    SerializeClientCompletionEvent(event, &writer);
+  }
+  writer.U32(static_cast<uint32_t>(queue_.size()));
+  for (int s = 0; s < queue_.num_shards(); ++s) {
+    for (const ClientCompletionEvent& event : queue_.shard(s).events()) {
+      SerializeClientCompletionEvent(event, &writer);
+    }
+  }
+  // The barrier draws its next cohort before this point (the prefetch),
+  // so the serialized RNG has already moved past it; the cohort itself
+  // must ride along or the restored run would skip it.
+  writer.U32(static_cast<uint32_t>(next_cohort_.size()));
+  for (const int client : next_cohort_) {
     writer.U32(static_cast<uint32_t>(client));
   }
   return AppendSimulationCheckpoint(log, history.size(), writer.Take(),
                                     algorithm_->mutable_state_store());
 }
 
-Result<bool> ServerLoop::TryRestoreSync(History* history,
-                                        std::vector<int>* pending_selected,
-                                        bool* have_pending) {
+Result<bool> ServerLoop::TryRestore(History* history) {
   auto loaded = LoadLatestSimulationCheckpoint(config_.checkpoint_path);
   if (!loaded.ok()) {
     if (loaded.status().IsNotFound() || loaded.status().IsIoError()) {
@@ -318,8 +335,15 @@ Result<bool> ServerLoop::TryRestoreSync(History* history,
   }
   const SimulationCheckpoint& checkpoint = loaded.ValueOrDie();
   ByteReader reader(checkpoint.engine_blob);
-  FEDADMM_ASSIGN_OR_RETURN(uint8_t tag, reader.U8());
-  if (tag != kCheckpointSyncTag) {
+  FEDADMM_ASSIGN_OR_RETURN(uint8_t version, reader.U8());
+  if (version != kEngineBlobVersion) {
+    return Status::InvalidArgument(
+        "Simulation: checkpoint in '" + config_.checkpoint_path +
+        "' has engine-blob version " + std::to_string(version) +
+        " (this build reads " + std::to_string(kEngineBlobVersion) + ")");
+  }
+  FEDADMM_ASSIGN_OR_RETURN(uint8_t mode, reader.U8());
+  if (mode != static_cast<uint8_t>(config_.mode)) {
     return Status::InvalidArgument(
         "Simulation: checkpoint in '" + config_.checkpoint_path +
         "' was written by a different execution mode");
@@ -336,102 +360,22 @@ Result<bool> ServerLoop::TryRestoreSync(History* history,
   FEDADMM_ASSIGN_OR_RETURN(std::string extra, reader.String());
   FEDADMM_RETURN_IF_ERROR(algorithm_->RestoreExtraState(extra));
   FEDADMM_ASSIGN_OR_RETURN(*history, ReadHistoryBlob(&reader));
-  FEDADMM_ASSIGN_OR_RETURN(uint8_t have, reader.U8());
-  *have_pending = have != 0;
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t count, reader.U32());
-  pending_selected->clear();
-  pending_selected->reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    FEDADMM_ASSIGN_OR_RETURN(uint32_t client, reader.U32());
-    pending_selected->push_back(static_cast<int>(client));
-  }
-  if (ClientStateStore* store = algorithm_->mutable_state_store()) {
-    FEDADMM_RETURN_IF_ERROR(RestoreStoreContents(checkpoint, store));
-  }
-  return {true};
-}
-
-Status ServerLoop::CheckpointEventDriven(SlabLog* log, const History& history,
-                                         const EventLoopState& state) {
-  ByteWriter writer;
-  writer.U8(kCheckpointEventTag);
-  writer.Floats(theta_);
-  writer.String(selection_rng_.SerializeState());
-  writer.String(algorithm_->SerializeExtraState());
-  WriteHistoryBlob(history, &writer);
-  writer.I64(sequence_);
-  writer.I64(pending_download_bytes_);
-  writer.I64(pending_download_bytes_raw_);
-  writer.U32(static_cast<uint32_t>(*state.wave_counter));
-  writer.U32(static_cast<uint32_t>(*state.server_version));
-  writer.U32(static_cast<uint32_t>(*state.concurrency));
-  writer.U32(static_cast<uint32_t>(*state.pending_dropped));
-  writer.U32(static_cast<uint32_t>(*state.pending_partial));
-  writer.U32(static_cast<uint32_t>(*state.drops_since_aggregate));
-  writer.U32(static_cast<uint32_t>(state.buffer->size()));
-  for (const ClientCompletionEvent& event : *state.buffer) {
-    SerializeClientCompletionEvent(event, &writer);
-  }
-  writer.U32(static_cast<uint32_t>(state.queue->size()));
-  for (int s = 0; s < state.queue->num_shards(); ++s) {
-    for (const ClientCompletionEvent& event : state.queue->shard(s).events()) {
-      SerializeClientCompletionEvent(event, &writer);
-    }
-  }
-  return AppendSimulationCheckpoint(log, history.size(), writer.Take(),
-                                    algorithm_->mutable_state_store());
-}
-
-Result<bool> ServerLoop::TryRestoreEventDriven(History* history,
-                                               const EventLoopState& state) {
-  auto loaded = LoadLatestSimulationCheckpoint(config_.checkpoint_path);
-  if (!loaded.ok()) {
-    if (loaded.status().IsNotFound() || loaded.status().IsIoError()) {
-      return {false};
-    }
-    return loaded.status();
-  }
-  const SimulationCheckpoint& checkpoint = loaded.ValueOrDie();
-  ByteReader reader(checkpoint.engine_blob);
-  FEDADMM_ASSIGN_OR_RETURN(uint8_t tag, reader.U8());
-  if (tag != kCheckpointEventTag) {
-    return Status::InvalidArgument(
-        "Simulation: checkpoint in '" + config_.checkpoint_path +
-        "' was written by a different execution mode");
-  }
-  FEDADMM_ASSIGN_OR_RETURN(std::vector<float> theta, reader.Floats());
-  if (theta.size() != theta_.size()) {
-    return Status::InvalidArgument(
-        "Simulation: checkpoint θ dim " + std::to_string(theta.size()) +
-        " != problem dim " + std::to_string(theta_.size()));
-  }
-  theta_ = std::move(theta);
-  FEDADMM_ASSIGN_OR_RETURN(std::string rng_state, reader.String());
-  FEDADMM_RETURN_IF_ERROR(selection_rng_.RestoreState(rng_state));
-  FEDADMM_ASSIGN_OR_RETURN(std::string extra, reader.String());
-  FEDADMM_RETURN_IF_ERROR(algorithm_->RestoreExtraState(extra));
-  FEDADMM_ASSIGN_OR_RETURN(*history, ReadHistoryBlob(&reader));
+  FEDADMM_ASSIGN_OR_RETURN(now_, reader.F64());
   FEDADMM_ASSIGN_OR_RETURN(sequence_, reader.I64());
   FEDADMM_ASSIGN_OR_RETURN(pending_download_bytes_, reader.I64());
   FEDADMM_ASSIGN_OR_RETURN(pending_download_bytes_raw_, reader.I64());
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t wave_counter, reader.U32());
-  *state.wave_counter = static_cast<int>(wave_counter);
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t server_version, reader.U32());
-  *state.server_version = static_cast<int>(server_version);
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t concurrency, reader.U32());
-  *state.concurrency = static_cast<int>(concurrency);
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t pending_dropped, reader.U32());
-  *state.pending_dropped = static_cast<int>(pending_dropped);
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t pending_partial, reader.U32());
-  *state.pending_partial = static_cast<int>(pending_partial);
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t drops, reader.U32());
-  *state.drops_since_aggregate = static_cast<int>(drops);
+  for (int* counter : {&wave_counter_, &server_version_, &concurrency_,
+                       &pending_dropped_, &pending_partial_,
+                       &drops_since_aggregate_}) {
+    FEDADMM_ASSIGN_OR_RETURN(uint32_t value, reader.U32());
+    *counter = static_cast<int>(value);
+  }
   FEDADMM_ASSIGN_OR_RETURN(uint32_t buffered, reader.U32());
-  state.buffer->clear();
+  buffer_.clear();
   for (uint32_t i = 0; i < buffered; ++i) {
     FEDADMM_ASSIGN_OR_RETURN(ClientCompletionEvent event,
                              DeserializeClientCompletionEvent(&reader));
-    state.buffer->push_back(std::move(event));
+    buffer_.push_back(std::move(event));
   }
   FEDADMM_ASSIGN_OR_RETURN(uint32_t queued, reader.U32());
   for (uint32_t i = 0; i < queued; ++i) {
@@ -440,7 +384,13 @@ Result<bool> ServerLoop::TryRestoreEventDriven(History* history,
     // in_flight_ is derivable: exactly the queued (not yet completed)
     // clients occupy slots.
     in_flight_[static_cast<size_t>(event.client_id)] = 1;
-    state.queue->Push(std::move(event));
+    queue_.Push(std::move(event));
+  }
+  FEDADMM_ASSIGN_OR_RETURN(uint32_t pending, reader.U32());
+  next_cohort_.clear();
+  for (uint32_t i = 0; i < pending; ++i) {
+    FEDADMM_ASSIGN_OR_RETURN(uint32_t client, reader.U32());
+    next_cohort_.push_back(static_cast<int>(client));
   }
   if (ClientStateStore* store = algorithm_->mutable_state_store()) {
     FEDADMM_RETURN_IF_ERROR(RestoreStoreContents(checkpoint, store));
@@ -510,247 +460,314 @@ Result<History> ServerLoop::Run() {
           "or residual history");
     }
   }
+  if (!barrier_) {
+    if (system_model_ == nullptr) {
+      return Status::InvalidArgument(
+          "Simulation: mode '" + ExecutionModeName(config_.mode) +
+          "' needs a system model (event times come from the virtual "
+          "clock)");
+    }
+    // Let methods whose aggregation semantics break under per-arrival or
+    // small-batch updates reject the run up front (FedADMM with a fixed η
+    // silently overshoots m-fold; FedPD cannot form its full-population
+    // mean).
+    FEDADMM_RETURN_IF_ERROR(algorithm_->ValidateForEventMode());
+  }
   if (!config_.round_trace_path.empty()) {
     FEDADMM_RETURN_IF_ERROR(round_trace_.Open(
         config_.round_trace_path, config_.round_trace_deterministic_only));
   }
-  if (config_.mode == ExecutionMode::kSync) {
-    Result<History> history = RunSync();
-    FEDADMM_RETURN_IF_ERROR(round_trace_.Close());
-    return history;
-  }
-  if (system_model_ == nullptr) {
-    return Status::InvalidArgument(
-        "Simulation: mode '" + ExecutionModeName(config_.mode) +
-        "' needs a system model (event times come from the virtual clock)");
-  }
-  // Let methods whose aggregation semantics break under per-arrival or
-  // small-batch updates reject the run up front (FedADMM with a fixed η
-  // silently overshoots m-fold; FedPD cannot form its full-population
-  // mean).
-  FEDADMM_RETURN_IF_ERROR(algorithm_->ValidateForEventMode());
-  Result<History> history = RunEventDriven();
+  Result<History> history = RunLoop();
   FEDADMM_RETURN_IF_ERROR(round_trace_.Close());
   return history;
 }
 
-Result<History> ServerLoop::RunSync() {
+Result<History> ServerLoop::RunLoop() {
   InitializeModel();
+  in_flight_.assign(static_cast<size_t>(problem_->num_clients()), 0);
   if (ingest_) {
     FEDADMM_RETURN_IF_ERROR(
         ingest_->StartServing(problem_->num_clients(), problem_->dim()));
   }
+  const StalenessWeightFn weight = config_.staleness_weight
+                                       ? config_.staleness_weight
+                                       : ConstantStalenessWeight();
 
   History history;
-  VirtualClock clock;
-  // The next round's cohort, drawn one round ahead (between dispatch and
-  // aggregate) so the state store can prefetch its cold slabs while the
-  // server aggregates/evaluates. The selection stream still sees exactly
-  // the call sequence Select(0), Select(1), ... — trajectories stay
-  // bitwise identical to the lockstep draw.
-  std::vector<int> selected;
-  bool have_selected = false;
   FEDADMM_ASSIGN_OR_RETURN(std::unique_ptr<SlabLog> checkpoint_log,
                            OpenCheckpointLog());
   if (checkpoint_log && config_.restore_from_checkpoint) {
-    FEDADMM_ASSIGN_OR_RETURN(
-        const bool restored,
-        TryRestoreSync(&history, &selected, &have_selected));
-    if (restored && system_model_ && !history.empty()) {
-      // The clock is derivable: sim_seconds of the last record is exactly
-      // where the virtual clock stood.
-      clock.Advance(history.records().back().sim_seconds);
+    FEDADMM_RETURN_IF_ERROR(TryRestore(&history).status());
+  }
+  int records_at_last_checkpoint = history.size();
+  Stopwatch watch;
+
+  // One iteration per resolved wave (barrier) or event (event modes); one
+  // RoundRecord per aggregation, or per starved wave of drops.
+  while (history.size() < config_.max_rounds) {
+    // The loop top is the quiescent point: no event half-processed, the
+    // queue and buffer complete, no barrier wave in flight (the barrier
+    // always flushes its buffer). Checkpoint here on the cadence.
+    if (checkpoint_log && history.size() > records_at_last_checkpoint &&
+        history.size() % config_.checkpoint_every == 0) {
+      FEDADMM_RETURN_IF_ERROR(Checkpoint(checkpoint_log.get(), history));
+      records_at_last_checkpoint = history.size();
+    }
+    if (queue_.empty() && buffer_.empty()) {
+      FEDADMM_RETURN_IF_ERROR(DispatchCohort());
+    }
+
+    // Resolve buffer_[first..]: the barrier's whole wave, dispatched
+    // straight into the buffer in selection order (every member has
+    // resolved by the latest member's time), or the earliest event. Drops
+    // are compacted out; admitted events stay in arrival order.
+    const size_t first = barrier_ ? 0 : buffer_.size();
+    if (!barrier_) buffer_.push_back(queue_.Pop());
+    const size_t resolved = buffer_.size() - first;
+    size_t kept = first;
+    obs::TraceScope admit_scope("admit", "engine", Metrics().phase_admit);
+    for (size_t i = first; i < buffer_.size(); ++i) {
+      ClientCompletionEvent& event = buffer_[i];
+      now_ = std::max(now_, event.time);
+      in_flight_[static_cast<size_t>(event.client_id)] = 0;
+      if (event.decision.fate == ClientFate::kDropped) {
+        ++pending_dropped_;
+        ++drops_since_aggregate_;
+        continue;
+      }
+      drops_since_aggregate_ = 0;
+      if (event.decision.fate == ClientFate::kAdmittedPartial) {
+        // The client shipped its iterate at the deadline: model the
+        // shorter SGD path as a proportionally smaller delta. Per-client
+        // algorithm state keeps the full pass — see the modeling note on
+        // DeadlineAdmitPartialPolicy.
+        ++pending_partial_;
+        ScalePayload(static_cast<float>(event.decision.work_fraction),
+                     &event.message);
+      }
+      // Encode what the server actually receives, serially in arrival
+      // (at the barrier: selection) order, so stateful codecs see a
+      // deterministic schedule and dropped uploads never feed residuals.
+      // Serve-mode payloads were encoded client-side and decoded once on
+      // the shard workers; re-encoding would apply the codec twice.
+      if (!ingest_) pipeline_.EncodeUplink(event.wave, &event.message);
+      if (kept != i) buffer_[kept] = std::move(event);
+      ++kept;
+    }
+    buffer_.erase(buffer_.begin() + static_cast<ptrdiff_t>(kept),
+                  buffer_.end());
+    admit_scope.Stop();
+
+    const int buffer_target =
+        config_.mode == ExecutionMode::kAsync
+            ? 1
+            : (config_.buffer_size > 0
+                   ? std::min(config_.buffer_size, concurrency_)
+                   : std::max(1, concurrency_ / 2));
+    const bool aggregated =
+        barrier_ || static_cast<int>(buffer_.size()) >= buffer_target;
+    // A full wave of consecutive deadline misses forces a flush: aggregate
+    // whatever the buffer holds (a timeout flush), or — with an empty
+    // buffer — emit the all-dropped record (NaN train_loss, θ untouched).
+    // Either way the run keeps emitting records and terminates even when
+    // every completion event misses the deadline forever.
+    const bool force_flush =
+        !aggregated && drops_since_aggregate_ >= concurrency_;
+
+    if (aggregated || force_flush) {
+      obs::TraceScope aggregate_scope("aggregate", "engine",
+                                      Metrics().phase_aggregate);
+      const int round = history.size();
+      aggregate_scope.set_arg("round", round);
+      RoundRecord record;
+      record.round = round;
+      // The barrier's cohort counts its drops; an event-mode record counts
+      // the updates it aggregated.
+      record.num_selected =
+          static_cast<int>(barrier_ ? resolved : buffer_.size());
+      record.num_dropped = pending_dropped_;
+      record.num_admitted_partial = pending_partial_;
+      record.sim_seconds = now_;
+      pending_dropped_ = 0;
+      pending_partial_ = 0;
+      drops_since_aggregate_ = 0;
+
+      double loss_sum = 0.0;
+      int64_t upload = 0;
+      int64_t upload_raw = 0;
+      double staleness_sum = 0.0;
+      int staleness_max = 0;
+      for (ClientCompletionEvent& e : buffer_) {
+        const int staleness = server_version_ - e.theta_version;
+        staleness_sum += staleness;
+        staleness_max = std::max(staleness_max, staleness);
+        loss_sum += e.message.train_loss;
+        upload += e.message.UploadBytes();
+        upload_raw += e.message.RawBytes();
+        // Discount stale payloads (FedBuff/FedAsync); the raw count still
+        // reaches AggregateOne for methods that adapt further. A barrier
+        // aggregates its own wave, which is always fresh.
+        if (barrier_) continue;
+        const double w = weight(staleness);
+        FEDADMM_CHECK_MSG(w >= 0.0 && std::isfinite(w),
+                          "staleness weight must be finite and >= 0");
+        if (w != 1.0) ScalePayload(static_cast<float>(w), &e.message);
+      }
+      record.train_loss = MeanTrainLoss(loss_sum, buffer_.size());
+      record.staleness_mean =
+          buffer_.empty()
+              ? std::numeric_limits<double>::quiet_NaN()
+              : staleness_sum / static_cast<double>(buffer_.size());
+      record.staleness_max = staleness_max;
+      record.upload_bytes = upload;
+      record.upload_bytes_raw = upload_raw;
+      record.download_bytes = pending_download_bytes_;
+      record.download_bytes_raw = pending_download_bytes_raw_;
+      pending_download_bytes_ = 0;
+      pending_download_bytes_raw_ = 0;
+
+      // An all-dropped aggregation leaves θ untouched.
+      if (config_.mode == ExecutionMode::kAsync && !buffer_.empty()) {
+        ClientCompletionEvent& e = buffer_.front();
+        algorithm_->AggregateOne(std::move(e.message), round,
+                                 server_version_ - e.theta_version, &theta_);
+        ++server_version_;
+      } else if (!buffer_.empty()) {
+        std::vector<UpdateMessage> batch;
+        batch.reserve(buffer_.size());
+        for (ClientCompletionEvent& e : buffer_) {
+          batch.push_back(std::move(e.message));
+        }
+        algorithm_->ServerUpdate(batch, round, &theta_);
+        ++server_version_;
+      }
+      buffer_.clear();
+      aggregate_scope.Stop();
+
+      // Both stop paths break before the replacement dispatch below, so
+      // every billed download has been flushed into a record by the time
+      // the loop exits — pending_download_bytes_ is always 0 on return.
+      if (FinalizeRecord(record, &watch, &history)) break;
+      if (history.size() >= config_.max_rounds) break;
+    }
+
+    if (!barrier_) {
+      // Refill the freed slot. After an async aggregation this dispatch
+      // sees the fresh θ (and version), which is the whole point of the
+      // mode.
+      const int replacement = PickReplacement(wave_counter_);
+      if (replacement >= 0) {
+        FEDADMM_RETURN_IF_ERROR(DispatchWave({replacement}, wave_counter_));
+      }
+      ++wave_counter_;
     }
   }
-  for (int round = history.size(); round < config_.max_rounds; ++round) {
-    Stopwatch watch;
-    RoundContext ctx;
-    ctx.round = round;
-    ctx.num_shards = config_.num_shards;
-    if (have_selected) {
-      ctx.selected = std::move(selected);
-      have_selected = false;
-    } else {
-      obs::TraceScope scope("select", "engine", Metrics().phase_select);
-      scope.set_arg("round", round);
-      ctx.selected = selector_->Select(round, &selection_rng_);
-    }
-    FEDADMM_CHECK_MSG(!ctx.selected.empty(), "selector returned empty set");
-
-    obs::TraceScope dispatch_scope("dispatch", "engine",
-                                   Metrics().phase_dispatch);
-    dispatch_scope.set_arg("round", round);
-    // Downlink: the server encodes θ once per round; every selected client
-    // trains on the decoded broadcast (what it actually received) and is
-    // billed the compressed size. Algorithm extras beyond θ (e.g.
-    // SCAFFOLD's control variate) stay uncompressed.
-    ctx.downlink = pipeline_.PrepareDownlink(
-        round, theta_, algorithm_->DownloadBytesPerClient());
-
-    if (ingest_) {
-      // Serve mode: open the round to the frontend's sessions. Clients
-      // pull the broadcast and push updates while the loop prefetches the
-      // next cohort below; collection joins after the prefetch so the
-      // selection stream keeps the exact Select(0), Select(1), ... order.
-      FEDADMM_RETURN_IF_ERROR(
-          ingest_->BeginRound(round, ctx.selected, ctx.downlink, theta_));
-    } else {
-      executor_.RunWave(round, ctx.selected,
-                        ctx.downlink.ThetaForClients(theta_), &ctx.updates);
-
-      // Predict each upload's wire size before the straggler judgment: the
-      // virtual clock bills bytes, and WireBytes() gives the exact size
-      // without materializing payloads. Actual encoding happens after the
-      // judgment so stateful codecs only see admitted uploads. (In serve
-      // mode the frontend stamps the actual frame payload sizes instead.)
-      pipeline_.PredictUplinkBytes(&ctx.updates);
-    }
-    dispatch_scope.Stop();
-
-    // Draw the next cohort now and hint the store: an out-of-core backend
-    // faults those slabs on the executor pool (idle until the next wave)
-    // while the serial aggregate/finalize phases below run.
-    if (round + 1 < config_.max_rounds) {
-      obs::TraceScope scope("select", "engine", Metrics().phase_select);
-      scope.set_arg("round", round + 1);
-      selected = selector_->Select(round + 1, &selection_rng_);
-      have_selected = true;
-      if (ClientStateStore* store = algorithm_->mutable_state_store()) {
-        store->PrefetchClients(selected, executor_.pool());
-      }
-    }
-
-    if (ingest_) {
-      // Join the wave: one message per cohort member, in selection order,
-      // decoded exactly once on the frontend's shard workers. The straggler
-      // judgment below stays the single source of truth on fates.
-      FEDADMM_ASSIGN_OR_RETURN(ctx.updates, ingest_->CollectWave(round));
-    }
-
-    obs::TraceScope aggregate_scope("aggregate", "engine",
-                                    Metrics().phase_aggregate);
-    aggregate_scope.set_arg("round", round);
-
-    RoundRecord record;
-    record.round = round;
-    record.num_selected = static_cast<int>(ctx.selected.size());
-    int64_t download_bytes = static_cast<int64_t>(ctx.selected.size()) *
-                             ctx.downlink.per_client_bytes;
-    int64_t download_bytes_raw = static_cast<int64_t>(ctx.selected.size()) *
-                                 ctx.downlink.per_client_bytes_raw;
-
-    if (system_model_) {
-      // Time the round on the virtual clock and let the straggler policy
-      // drop (or scale down) late updates before aggregation.
-      const RoundJudgment judgment = system_model_->JudgeRound(
-          ctx.updates, ctx.downlink.per_client_bytes);
-      record.num_dropped = judgment.num_dropped;
-      record.num_admitted_partial = judgment.num_admitted_partial;
-      clock.Advance(judgment.round_seconds);
-      // Bill only the downlink bytes the fleet actually received: a client
-      // dropped while its broadcast was still in flight pays the received
-      // fraction, not the full model.
-      download_bytes = 0;
-      download_bytes_raw = 0;
-      std::vector<UpdateMessage> admitted;
-      admitted.reserve(ctx.updates.size());
-      for (size_t i = 0; i < ctx.updates.size(); ++i) {
-        const StragglerDecision& decision = judgment.decisions[i];
-        download_bytes += BilledBytes(decision.download_fraction,
-                                      ctx.downlink.per_client_bytes);
-        download_bytes_raw += BilledBytes(decision.download_fraction,
-                                          ctx.downlink.per_client_bytes_raw);
-        if (decision.fate == ClientFate::kDropped) continue;
-        UpdateMessage msg = std::move(ctx.updates[i]);
-        if (decision.fate == ClientFate::kAdmittedPartial) {
-          // The client shipped its iterate at the deadline: model the
-          // shorter SGD path as a proportionally smaller delta. Per-client
-          // algorithm state keeps the full pass — see the modeling note on
-          // DeadlineAdmitPartialPolicy.
-          ScalePayload(static_cast<float>(decision.work_fraction), &msg);
-        }
-        admitted.push_back(std::move(msg));
-      }
-      ctx.updates = std::move(admitted);
-    }
-    record.sim_seconds = clock.now();
-
-    // Uplink: encode what the server actually receives — dropped uploads
-    // must not feed error-feedback residuals, and a partially-admitted
-    // client encodes its scaled (deadline) delta. Serve-mode payloads were
-    // already encoded client-side and decoded once on the shard workers;
-    // re-encoding here would apply the lossy codec twice.
-    if (!ingest_) pipeline_.EncodeUplinkAll(round, &ctx.updates);
-
-    // An all-dropped round wastes its deadline but leaves θ untouched.
-    if (!ctx.updates.empty()) {
-      algorithm_->ServerUpdate(ctx.updates, round, &theta_);
-    }
-    aggregate_scope.Stop();
-
-    double loss_sum = 0.0;
-    int64_t upload = 0;
-    int64_t upload_raw = 0;
-    for (const UpdateMessage& msg : ctx.updates) {
-      loss_sum += msg.train_loss;
-      upload += msg.UploadBytes();
-      upload_raw += msg.RawBytes();
-    }
-    record.train_loss = MeanTrainLoss(loss_sum, ctx.updates.size());
-    record.upload_bytes = upload;
-    record.upload_bytes_raw = upload_raw;
-    record.download_bytes = download_bytes;
-    record.download_bytes_raw = download_bytes_raw;
-    // Sync aggregation is always fresh; the NaN mean marks an all-dropped
-    // round, mirroring train_loss.
-    record.staleness_mean =
-        ctx.updates.empty() ? std::numeric_limits<double>::quiet_NaN() : 0.0;
-    record.staleness_max = 0;
-
-    // Every exit path leaves a committed group behind: the cadence, the
-    // final round, and the early accuracy stop all checkpoint before the
-    // loop moves on.
-    const bool stop = FinalizeRecord(std::move(record), &watch, &history);
-    if (checkpoint_log &&
-        (stop || round + 1 == config_.max_rounds ||
-         history.size() % config_.checkpoint_every == 0)) {
-      FEDADMM_RETURN_IF_ERROR(CheckpointSync(checkpoint_log.get(), history,
-                                             selected, have_selected));
-    }
-    if (stop) break;
+  // Final group off the cadence: max_rounds, target accuracy, and a
+  // starved queue all land here, so a finished run restores as finished.
+  if (checkpoint_log && history.size() > records_at_last_checkpoint) {
+    FEDADMM_RETURN_IF_ERROR(Checkpoint(checkpoint_log.get(), history));
   }
   return history;
 }
 
-void ServerLoop::DispatchWave(const std::vector<int>& clients, int wave,
-                              double now, int theta_version,
-                              ShardedEventQueue* queue) {
-  obs::TraceScope scope("dispatch", "engine", Metrics().phase_dispatch);
-  scope.set_arg("wave", wave);
-  RoundContext ctx;
-  ctx.round = wave;
-  ctx.num_shards = config_.num_shards;
-  ctx.selected = clients;
-  ctx.downlink = pipeline_.PrepareDownlink(
-      wave, theta_, algorithm_->DownloadBytesPerClient());
-  executor_.RunWave(wave, ctx.selected, ctx.downlink.ThetaForClients(theta_),
-                    &ctx.updates);
-  pipeline_.PredictUplinkBytes(&ctx.updates);
-
-  const FleetModel& fleet = system_model_->fleet();
-  const StragglerPolicy& policy = system_model_->policy();
-  for (size_t i = 0; i < ctx.updates.size(); ++i) {
-    const int client = ctx.selected[i];
-    ClientCompletionEvent event = MakeClientCompletionEvent(
-        fleet.profile(client), policy, now, ctx.downlink.per_client_bytes,
-        std::move(ctx.updates[i]), wave, theta_version, sequence_++);
-    pending_download_bytes_ += BilledBytes(event.decision.download_fraction,
-                                           ctx.downlink.per_client_bytes);
-    pending_download_bytes_raw_ += BilledBytes(
-        event.decision.download_fraction, ctx.downlink.per_client_bytes_raw);
-    in_flight_[static_cast<size_t>(client)] = 1;
-    queue->Push(std::move(event));
+Status ServerLoop::DispatchCohort() {
+  const int wave = wave_counter_++;
+  std::vector<int> cohort = std::move(next_cohort_);
+  next_cohort_.clear();
+  if (cohort.empty()) {
+    obs::TraceScope scope("select", "engine", Metrics().phase_select);
+    scope.set_arg("wave", wave);
+    cohort = selector_->Select(wave, &selection_rng_);
   }
+  FEDADMM_CHECK_MSG(!cohort.empty(), "selector returned empty set");
+  // The event modes' fresh cohort fixes their concurrency: one in-flight
+  // client per slot, each freed slot refilled on completion.
+  concurrency_ = static_cast<int>(cohort.size());
+  return DispatchWave(cohort, wave);
+}
+
+Status ServerLoop::DispatchWave(const std::vector<int>& clients, int wave) {
+  obs::TraceScope dispatch_scope("dispatch", "engine",
+                                 Metrics().phase_dispatch);
+  dispatch_scope.set_arg("wave", wave);
+  // Downlink: the server encodes θ once per wave; every member trains on
+  // the decoded broadcast (what it actually received) and is billed the
+  // compressed size. Algorithm extras beyond θ (e.g. SCAFFOLD's control
+  // variate) stay uncompressed.
+  const DownlinkPlan downlink = pipeline_.PrepareDownlink(
+      wave, theta_, algorithm_->DownloadBytesPerClient());
+  std::vector<UpdateMessage> updates;
+  if (ingest_) {
+    // Serve mode: open the wave to the frontend's sessions. Clients pull
+    // the broadcast and push updates while the loop prefetches the next
+    // cohort below; collection joins after the prefetch so the selection
+    // stream keeps the exact Select(0), Select(1), ... order.
+    FEDADMM_RETURN_IF_ERROR(
+        ingest_->BeginRound(wave, clients, downlink, theta_));
+  } else {
+    executor_.RunWave(wave, clients, downlink.ThetaForClients(theta_),
+                      &updates);
+    // Predict each upload's wire size before admission: the virtual clock
+    // bills bytes, and WireBytes() gives the exact size without
+    // materializing payloads. Actual encoding happens after admission so
+    // stateful codecs only see admitted uploads. (In serve mode the
+    // frontend stamps the actual frame payload sizes instead.)
+    pipeline_.PredictUplinkBytes(&updates);
+  }
+  dispatch_scope.Stop();
+
+  if (barrier_) {
+    // Draw the next cohort now and hint the store: an out-of-core backend
+    // faults those slabs on the executor pool (idle until the next wave)
+    // while the serial admit/aggregate/finalize phases run. The selection
+    // stream still sees exactly the call sequence Select(0), Select(1), ...
+    // of a lockstep draw.
+    if (wave + 1 < config_.max_rounds) {
+      obs::TraceScope scope("select", "engine", Metrics().phase_select);
+      scope.set_arg("wave", wave + 1);
+      next_cohort_ = selector_->Select(wave + 1, &selection_rng_);
+      if (ClientStateStore* store = algorithm_->mutable_state_store()) {
+        store->PrefetchClients(next_cohort_, executor_.pool());
+      }
+    }
+    if (ingest_) {
+      // One message per cohort member, in selection order, decoded exactly
+      // once on the frontend's shard workers; admission below stays the
+      // single judge of fates.
+      FEDADMM_ASSIGN_OR_RETURN(updates, ingest_->CollectWave(wave));
+    }
+  }
+
+  for (size_t i = 0; i < clients.size(); ++i) {
+    const int client = clients[i];
+    ClientCompletionEvent event;
+    if (system_model_) {
+      event = MakeClientCompletionEvent(
+          system_model_->fleet().profile(client), system_model_->policy(),
+          now_, downlink.per_client_bytes, std::move(updates[i]), wave,
+          server_version_, sequence_++);
+    } else {
+      // No system model (sync only): every member resolves at dispatch
+      // time, admitted, with its whole download billed.
+      event.time = now_;
+      event.sequence = sequence_++;
+      event.client_id = client;
+      event.wave = wave;
+      event.theta_version = server_version_;
+      event.message = std::move(updates[i]);
+    }
+    pending_download_bytes_ += BilledBytes(event.decision.download_fraction,
+                                           downlink.per_client_bytes);
+    pending_download_bytes_raw_ += BilledBytes(
+        event.decision.download_fraction, downlink.per_client_bytes_raw);
+    if (barrier_) {
+      buffer_.push_back(std::move(event));
+    } else {
+      in_flight_[static_cast<size_t>(client)] = 1;
+      queue_.Push(std::move(event));
+    }
+  }
+  return Status::OK();
 }
 
 int ServerLoop::PickReplacement(int wave) {
@@ -764,194 +781,6 @@ int ServerLoop::PickReplacement(int wave) {
     if (!in_flight_[client]) return static_cast<int>(client);
   }
   return -1;
-}
-
-Result<History> ServerLoop::RunEventDriven() {
-  InitializeModel();
-  in_flight_.assign(static_cast<size_t>(problem_->num_clients()), 0);
-
-  const StalenessWeightFn weight = config_.staleness_weight
-                                       ? config_.staleness_weight
-                                       : ConstantStalenessWeight();
-
-  History history;
-  // One event heap per aggregation worker; pops merge on (time, sequence),
-  // identically to a single global heap at every W — so the sharded queue
-  // serves all W (including 1) without touching the trajectory.
-  ShardedEventQueue queue(config_.num_shards);
-  int wave_counter = 0;
-  int server_version = 0;
-  int concurrency = 0;
-  std::vector<ClientCompletionEvent> buffer;
-  int pending_dropped = 0;
-  int pending_partial = 0;
-  int drops_since_aggregate = 0;
-  const EventLoopState state{&queue,
-                             &buffer,
-                             &wave_counter,
-                             &server_version,
-                             &concurrency,
-                             &pending_dropped,
-                             &pending_partial,
-                             &drops_since_aggregate};
-
-  FEDADMM_ASSIGN_OR_RETURN(std::unique_ptr<SlabLog> checkpoint_log,
-                           OpenCheckpointLog());
-  bool restored = false;
-  if (checkpoint_log && config_.restore_from_checkpoint) {
-    FEDADMM_ASSIGN_OR_RETURN(restored,
-                             TryRestoreEventDriven(&history, state));
-  }
-
-  if (!restored) {
-    // The initial wave fixes the engine's concurrency: one in-flight
-    // client per slot, each freed slot refilled on completion.
-    const std::vector<int> initial =
-        selector_->Select(wave_counter, &selection_rng_);
-    FEDADMM_CHECK_MSG(!initial.empty(), "selector returned empty set");
-    concurrency = static_cast<int>(initial.size());
-    DispatchWave(initial, wave_counter++, /*now=*/0.0, server_version,
-                 &queue);
-  }
-
-  const int buffer_target =
-      config_.mode == ExecutionMode::kAsync
-          ? 1
-          : (config_.buffer_size > 0
-                 ? std::min(config_.buffer_size, concurrency)
-                 : std::max(1, concurrency / 2));
-
-  int records_at_last_checkpoint = history.size();
-  Stopwatch watch;
-
-  // One iteration per event; one RoundRecord per aggregation (or per
-  // starved wave of drops). The queue only empties if every client is
-  // simultaneously in flight and none can be replaced, which the
-  // replacement fallback prevents; the guard keeps the loop total anyway.
-  while (history.size() < config_.max_rounds && !queue.empty()) {
-    // The loop top is the quiescent point: no event half-processed, the
-    // queue and buffer complete. Checkpoint here on the cadence.
-    if (checkpoint_log && history.size() > records_at_last_checkpoint &&
-        history.size() % config_.checkpoint_every == 0) {
-      FEDADMM_RETURN_IF_ERROR(
-          CheckpointEventDriven(checkpoint_log.get(), history, state));
-      records_at_last_checkpoint = history.size();
-    }
-    ClientCompletionEvent event = queue.Pop();
-    const double now = event.time;
-    in_flight_[static_cast<size_t>(event.client_id)] = 0;
-
-    bool aggregated = false;
-    if (event.decision.fate == ClientFate::kDropped) {
-      ++pending_dropped;
-      ++drops_since_aggregate;
-    } else {
-      drops_since_aggregate = 0;
-      if (event.decision.fate == ClientFate::kAdmittedPartial) {
-        ++pending_partial;
-        ScalePayload(static_cast<float>(event.decision.work_fraction),
-                     &event.message);
-      }
-      // Serial, in event order: stateful codecs see a deterministic
-      // schedule regardless of thread count.
-      pipeline_.EncodeUplink(event.wave, &event.message);
-      buffer.push_back(std::move(event));
-      aggregated = static_cast<int>(buffer.size()) >= buffer_target;
-    }
-
-    // A full wave of consecutive deadline misses forces a flush: aggregate
-    // whatever the buffer holds (a timeout flush), or — with an empty
-    // buffer — emit the all-dropped record (NaN train_loss, θ untouched).
-    // Either way the run keeps emitting records and terminates even when
-    // every completion event misses the deadline forever.
-    const bool force_flush =
-        !aggregated && drops_since_aggregate >= concurrency;
-
-    if (aggregated || force_flush) {
-      obs::TraceScope aggregate_scope("aggregate", "engine",
-                                      Metrics().phase_aggregate);
-      const int round = history.size();
-      aggregate_scope.set_arg("round", round);
-      RoundRecord record;
-      record.round = round;
-      record.num_selected = static_cast<int>(buffer.size());
-      record.num_dropped = pending_dropped;
-      record.num_admitted_partial = pending_partial;
-      record.sim_seconds = now;
-      pending_dropped = 0;
-      pending_partial = 0;
-      drops_since_aggregate = 0;
-
-      double loss_sum = 0.0;
-      int64_t upload = 0;
-      int64_t upload_raw = 0;
-      double staleness_sum = 0.0;
-      int staleness_max = 0;
-      for (ClientCompletionEvent& e : buffer) {
-        const int staleness = server_version - e.theta_version;
-        staleness_sum += staleness;
-        staleness_max = std::max(staleness_max, staleness);
-        loss_sum += e.message.train_loss;
-        upload += e.message.UploadBytes();
-        upload_raw += e.message.RawBytes();
-        // Discount stale payloads (FedBuff/FedAsync); the raw count still
-        // reaches AggregateOne for methods that adapt further.
-        const double w = weight(staleness);
-        FEDADMM_CHECK_MSG(w >= 0.0 && std::isfinite(w),
-                          "staleness weight must be finite and >= 0");
-        if (w != 1.0) ScalePayload(static_cast<float>(w), &e.message);
-      }
-      record.train_loss = MeanTrainLoss(loss_sum, buffer.size());
-      record.staleness_mean =
-          buffer.empty() ? std::numeric_limits<double>::quiet_NaN()
-                         : staleness_sum / static_cast<double>(buffer.size());
-      record.staleness_max = staleness_max;
-      record.upload_bytes = upload;
-      record.upload_bytes_raw = upload_raw;
-      record.download_bytes = pending_download_bytes_;
-      record.download_bytes_raw = pending_download_bytes_raw_;
-      pending_download_bytes_ = 0;
-      pending_download_bytes_raw_ = 0;
-
-      if (config_.mode == ExecutionMode::kAsync && !buffer.empty()) {
-        ClientCompletionEvent& e = buffer.front();
-        algorithm_->AggregateOne(std::move(e.message), round,
-                                 server_version - e.theta_version, &theta_);
-        ++server_version;
-      } else if (!buffer.empty()) {
-        std::vector<UpdateMessage> batch;
-        batch.reserve(buffer.size());
-        for (ClientCompletionEvent& e : buffer) {
-          batch.push_back(std::move(e.message));
-        }
-        algorithm_->ServerUpdate(batch, round, &theta_);
-        ++server_version;
-      }
-      buffer.clear();
-      aggregate_scope.Stop();
-
-      // Both stop paths break before the replacement dispatch below, so
-      // every billed download has been flushed into a record by the time
-      // the loop exits — pending_download_bytes_ is always 0 on return.
-      if (FinalizeRecord(record, &watch, &history)) break;
-      if (history.size() >= config_.max_rounds) break;
-    }
-
-    // Refill the freed slot. After an async aggregation this dispatch sees
-    // the fresh θ (and version), which is the whole point of the mode.
-    const int replacement = PickReplacement(wave_counter);
-    if (replacement >= 0) {
-      DispatchWave({replacement}, wave_counter, now, server_version, &queue);
-    }
-    ++wave_counter;
-  }
-  // Final group off the cadence: max_rounds, target accuracy, and a
-  // starved queue all land here, so a finished run restores as finished.
-  if (checkpoint_log && history.size() > records_at_last_checkpoint) {
-    FEDADMM_RETURN_IF_ERROR(
-        CheckpointEventDriven(checkpoint_log.get(), history, state));
-  }
-  return history;
 }
 
 }  // namespace fedadmm

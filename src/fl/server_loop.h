@@ -1,36 +1,38 @@
 /// \file server_loop.h
-/// \brief The federation engine: composable stages under three execution
+/// \brief The federation engine: one event loop under three execution
 /// modes.
 ///
-/// This replaces the old ~200-line `Simulation::Run()` monolith. The loop
-/// composes four stages per round/wave —
+/// Every dispatched client becomes a `ClientCompletionEvent` stamped at its
+/// own `ComputeClientTiming` finish and judged by the straggler policy
+/// (the per-event admission predicate). The loop resolves events, admits
+/// or drops each, and aggregates when the mode's trigger fires:
 ///
 ///   selection → CommPipeline (downlink) → ClientExecutor (fan-out)
 ///             → admission (straggler policy) → CommPipeline (uplink)
 ///             → aggregation → metrics
 ///
-/// — and schedules them two ways:
+///   * **sync**: a *wave barrier*. The whole cohort is dispatched as one
+///     wave and aggregated once every member has resolved, in selection
+///     order, at the latest member's event time (= the previous barrier +
+///     the slowest member's finish). The barrier's dispatch also pre-draws
+///     the next cohort, hints the state store to prefetch it, and — in
+///     serve mode — collects the wave from the ingest source. Arrival
+///     order is irrelevant at a barrier, so its members never pass
+///     through the event heap.
+///   * **buffered / async**: events pop from a `sys/ShardedEventQueue` —
+///     one heap per aggregation worker (`SimulationConfig::num_shards`),
+///     merged on (time, sequence), which pops identically to a single
+///     global heap at every W. Async aggregates every admitted arrival via
+///     `FederatedAlgorithm::AggregateOne`; buffered collects `buffer_size`
+///     admitted arrivals, discounts them by the staleness weight and
+///     applies one batched `ServerUpdate`. Each freed slot is refilled
+///     with a one-client wave against the current θ. A full wave of
+///     consecutive drops with nothing to aggregate emits an all-dropped
+///     record (NaN train_loss), so a starved deadline still terminates
+///     after `max_rounds` records.
 ///
-///   * **sync**: one lockstep pass per round, exactly the historical
-///     control flow (same RNG forks, same float operations, same
-///     accounting order), so trajectories are bitwise identical to the
-///     monolith.
-///   * **event-driven** (buffered / async): each dispatched client becomes
-///     a `ClientCompletionEvent` on a `sys/ShardedEventQueue` — one heap
-///     per aggregation worker (`SimulationConfig::num_shards`), merged on
-///     (time, sequence), which pops identically to a single global heap at
-///     every W — scheduled at its own `ComputeClientTiming` finish (as
-///     shaped by the straggler
-///     policy, reused as the per-event admission predicate). The server
-///     pops events in simulated-time order: async aggregates every
-///     admitted arrival via `FederatedAlgorithm::AggregateOne`; buffered
-///     collects `buffer_size` admitted arrivals, discounts them by the
-///     staleness weight and applies one batched `ServerUpdate`. Every
-///     aggregation emits one `RoundRecord` whose `sim_seconds` is the
-///     triggering event's absolute time. A full wave of consecutive drops
-///     with nothing to aggregate emits an all-dropped record (NaN
-///     train_loss), so a starved deadline still terminates after
-///     `max_rounds` records.
+/// Every aggregation emits one `RoundRecord` whose `sim_seconds` is the
+/// triggering event's absolute time.
 ///
 /// Determinism: parallel client execution only happens within a dispatch
 /// wave (all members share one θ snapshot and per-(wave, client) RNG
@@ -46,7 +48,6 @@
 
 #include "fl/client_executor.h"
 #include "fl/comm_pipeline.h"
-#include "fl/round_context.h"
 #include "fl/simulation.h"
 #include "obs/trace.h"
 #include "sys/event_queue.h"
@@ -60,7 +61,8 @@ class SlabLog;
 ///
 /// Borrow-only: problem/algorithm/selector/system model/codecs/observer —
 /// and the θ output buffer, which the loop mutates in place so observers
-/// can read the live model mid-run — must outlive the loop.
+/// can read the live model mid-run — must outlive the loop. Single-use:
+/// `Run` may be called once.
 class ServerLoop {
  public:
   ServerLoop(FederatedProblem* problem, FederatedAlgorithm* algorithm,
@@ -74,23 +76,22 @@ class ServerLoop {
   /// calls (diagnostics, invariant probes) afterwards.
   ~ServerLoop();
 
-  /// Runs the configured execution mode to completion.
+  /// Validates the configuration and runs the configured execution mode to
+  /// completion.
   Result<History> Run();
 
  private:
-  /// Lockstep rounds; bitwise identical to the historical monolith.
-  Result<History> RunSync();
-  /// Event-queue driven buffered/async modes; requires a system model.
-  Result<History> RunEventDriven();
+  /// The event loop shared by every mode.
+  Result<History> RunLoop();
 
-  /// Draws θ⁰ and calls the algorithm's Setup (shared by both paths).
+  /// Draws θ⁰ and calls the algorithm's Setup.
   void InitializeModel();
 
-  /// Shared record tail for both paths: evaluates on the eval_every
-  /// cadence (NaN sentinels otherwise), stamps wall seconds, appends to
-  /// `history`, notifies the observer and logs. Returns true when the
-  /// record's evaluated accuracy reached the configured target (caller
-  /// stops). `record.round` must be set; `watch` is restarted.
+  /// Shared record tail: evaluates on the eval_every cadence (NaN
+  /// sentinels otherwise), stamps wall seconds, appends to `history`,
+  /// notifies the observer and logs. Returns true when the record's
+  /// evaluated accuracy reached the configured target (caller stops).
+  /// `record.round` must be set; `watch` is restarted.
   bool FinalizeRecord(RoundRecord record, Stopwatch* watch,
                       History* history);
 
@@ -99,56 +100,38 @@ class ServerLoop {
   /// fields are zeroed in deterministic-only mode.
   void WriteRoundTrace(const RoundRecord& record);
 
-  /// Dispatches `clients` at simulated time `now` against the current θ:
-  /// downlink encode + billing, parallel client execution, uplink size
-  /// prediction, admission judgment, and one completion event per client,
-  /// pushed onto its shard's heap.
-  void DispatchWave(const std::vector<int>& clients, int wave, double now,
-                    int theta_version, ShardedEventQueue* queue);
+  /// Dispatches a fresh cohort when nothing is in flight: the pre-drawn
+  /// next cohort at the barrier, the selector's draw otherwise. Every
+  /// barrier round starts here; the event modes only at a fresh start.
+  Status DispatchCohort();
+
+  /// Dispatches `clients` as wave `wave` at `now_` against the current θ:
+  /// downlink encode + billing, the client phase (parallel execution, or
+  /// ingest collection in serve mode), uplink size prediction, and one
+  /// judged completion event per client — appended to the aggregation
+  /// buffer in selection order at the barrier, or pushed onto its shard's
+  /// heap.
+  Status DispatchWave(const std::vector<int>& clients, int wave);
 
   /// Picks a replacement client for a freed slot: the selector's draw for
   /// `wave` filtered by in-flight status, falling back to the first idle
   /// client id. Returns -1 when every client is busy.
   int PickReplacement(int wave);
 
-  /// The event loop's checkpointable locals, borrowed by the (de)serialize
-  /// helpers below (the loop owns them; the helpers read or overwrite).
-  struct EventLoopState {
-    ShardedEventQueue* queue = nullptr;
-    std::vector<ClientCompletionEvent>* buffer = nullptr;
-    int* wave_counter = nullptr;
-    int* server_version = nullptr;
-    int* concurrency = nullptr;
-    int* pending_dropped = nullptr;
-    int* pending_partial = nullptr;
-    int* drops_since_aggregate = nullptr;
-  };
-
   /// Opens (or resumes) the checkpoint log when `checkpoint_path` is set;
   /// null otherwise. Never truncates an existing log — groups stack.
   Result<std::unique_ptr<SlabLog>> OpenCheckpointLog();
 
-  /// Appends one committed sync-mode checkpoint group: θ, selection RNG,
-  /// algorithm extras, `history`, the pre-drawn next cohort, and every
-  /// touched store slab.
-  Status CheckpointSync(SlabLog* log, const History& history,
-                        const std::vector<int>& pending_selected,
-                        bool have_pending);
+  /// Appends one committed checkpoint group: the mode, θ, selection RNG,
+  /// algorithm extras, `history`, the loop state below (clock, counters,
+  /// aggregation buffer, event queue, pre-drawn cohort), and every touched
+  /// store slab. Written at the loop top, where nothing is half-processed.
+  Status Checkpoint(SlabLog* log, const History& history);
 
-  /// Restores sync-mode state from the newest committed group. Returns
-  /// false (untouched outputs) when no committed group exists — the fresh
-  /// start; errors only on a malformed committed group.
-  Result<bool> TryRestoreSync(History* history,
-                              std::vector<int>* pending_selected,
-                              bool* have_pending);
-
-  /// Event-mode twins: the blob additionally carries the dispatch
-  /// sequence, pending download billing, wave/version counters, the
-  /// aggregation buffer, and the full event queue.
-  Status CheckpointEventDriven(SlabLog* log, const History& history,
-                               const EventLoopState& state);
-  Result<bool> TryRestoreEventDriven(History* history,
-                                     const EventLoopState& state);
+  /// Restores from the newest committed group. Returns false (untouched
+  /// state) when no committed group exists — the fresh start; errors on a
+  /// malformed group or one written by a different execution mode.
+  Result<bool> TryRestore(History* history);
 
   FederatedProblem* problem_;
   FederatedAlgorithm* algorithm_;
@@ -162,6 +145,8 @@ class ServerLoop {
   UpdateCodec* downlink_codec_;
   /// Serve-mode wave source (fl/ingest.h); null for in-process execution.
   IngestSource* ingest_;
+  /// Sync mode: aggregate once the whole dispatched wave has resolved.
+  const bool barrier_;
 
   Rng master_;
   Rng selection_rng_;
@@ -175,11 +160,27 @@ class ServerLoop {
   /// Opt-in per-round JSONL trace (closed/no-op unless configured).
   obs::RoundTraceWriter round_trace_;
 
-  // Event-mode state (unused by sync).
+  // Loop state between iterations; the checkpoint blob carries all of it.
+  ShardedEventQueue queue_;
+  /// Admitted events awaiting aggregation; at the barrier, also the wave
+  /// in flight (always flushed before the loop top).
+  std::vector<ClientCompletionEvent> buffer_;
+  /// The barrier's next cohort, drawn one wave ahead so the store can
+  /// prefetch it; empty when none is pending.
+  std::vector<int> next_cohort_;
   std::vector<char> in_flight_;
+  /// Simulated time of the latest resolved event (the virtual clock).
+  double now_ = 0.0;
   int64_t sequence_ = 0;
   int64_t pending_download_bytes_ = 0;
   int64_t pending_download_bytes_raw_ = 0;
+  int wave_counter_ = 0;
+  int server_version_ = 0;
+  /// Size of the latest fresh cohort: the event modes' in-flight slots.
+  int concurrency_ = 0;
+  int pending_dropped_ = 0;
+  int pending_partial_ = 0;
+  int drops_since_aggregate_ = 0;
 };
 
 }  // namespace fedadmm

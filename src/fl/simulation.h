@@ -2,14 +2,15 @@
 /// \brief Public entry point of the federated training engine.
 ///
 /// `Simulation` validates its inputs and delegates to the event-driven
-/// federation engine (fl/server_loop.h), which composes four stages —
-/// selection, `CommPipeline` (codec billing), `ClientExecutor` (thread-pool
-/// fan-out) and aggregation — under one of three execution modes:
+/// federation engine (fl/server_loop.h), one loop that composes four
+/// stages — selection, `CommPipeline` (codec billing), `ClientExecutor`
+/// (thread-pool fan-out) and aggregation — under one of three execution
+/// modes:
 ///
 ///   * `kSync`     — the paper's synchronous loop (Fig. 1 / Fig. 2): every
-///                   selected client reports before the server aggregates.
-///                   Bitwise identical to the historical monolithic
-///                   `Simulation::Run()`, with or without a system model.
+///                   selected client reports before the server aggregates
+///                   — the event engine with a wave barrier. Works with
+///                   or without a system model.
 ///   * `kBuffered` — FedBuff-style semi-synchronous: the server aggregates
 ///                   as soon as `buffer_size` uploads arrive; late updates
 ///                   carry a staleness counter and are discounted by the
@@ -84,9 +85,9 @@ struct SimulationConfig {
   /// (fl/staleness.h); null means constant 1 (no discount).
   StalenessWeightFn staleness_weight;
   /// Client-state backend for stateful algorithms (src/state):
-  /// "dense" | "lazy" | "quantized:<b>" | "sharded:<W>:<inner>". Empty
-  /// keeps each algorithm's own default (dense). `lazy` and `quantized`
-  /// keep resident state proportional to the *touched* client population —
+  /// "dense" | "lazy" | "tiered:<capacity>:<path>" | "sharded:<W>:<inner>".
+  /// Empty keeps each algorithm's own default (dense). `lazy` keeps
+  /// resident state proportional to the *touched* client population —
   /// the lever that makes 100k-client fleets affordable under 1%
   /// participation; see `RoundRecord::state_bytes_resident` and
   /// bench_state_scale.
@@ -101,8 +102,9 @@ struct SimulationConfig {
   /// `sharded:` state_store spec overrides this knob's store partition.
   int num_shards = 1;
   /// When non-empty, append crash-safe checkpoints of the whole simulation
-  /// (θ, RNG streams, history, per-client state, and — in event modes —
-  /// the in-flight event queue) to this slab-log file (state/checkpoint.h).
+  /// (θ, RNG streams, history, per-client state, and the engine's loop
+  /// state, including any in-flight event queue) to this slab-log file
+  /// (state/checkpoint.h).
   /// Each checkpoint is a meta..commit record group; a SIGKILL anywhere
   /// replays from the last *committed* group, bit-identically to the
   /// uninterrupted run. Incompatible with uplink/downlink codecs (their

@@ -85,7 +85,7 @@ struct RoundRecord {
   /// Bytes of server-visible per-client algorithm state resident at the
   /// end of this round (src/state ClientStateStore accounting; 0 for
   /// stateless methods). `dense` backends sit at m·d prices from round 0;
-  /// `lazy`/`quantized` track the touched population.
+  /// `lazy` tracks the touched population; `tiered` sits at its pool.
   int64_t state_bytes_resident = 0;
 };
 

@@ -22,30 +22,36 @@ BufferPool::BufferPool(int64_t capacity_frames, int64_t frame_floats,
 }
 
 BufferPool::Frame* BufferPool::Pin(uint64_t key, bool* hit) {
+  return Place(key, /*pin=*/true, hit);
+}
+
+BufferPool::Frame* BufferPool::Admit(uint64_t key, bool* hit) {
+  return Place(key, /*pin=*/false, hit);
+}
+
+BufferPool::Frame* BufferPool::Place(uint64_t key, bool pin, bool* hit) {
   const auto it = map_.find(key);
   if (it != map_.end()) {
     Frame* frame = frames_[it->second].get();
-    frame->pinned = true;
+    frame->pinned = frame->pinned || pin;
     frame->referenced = true;
     ++hits_;
     *hit = true;
     return frame;
   }
-  ++misses_;
   *hit = false;
-  const size_t index = AcquireFrame();
+  // Only a pin may overflow; an admission that finds every frame pinned is
+  // dropped, so admissions never change the resident count once the pool
+  // is full.
+  const size_t index = AcquireFrame(/*may_overflow=*/pin);
+  if (index == kNoVictim) return nullptr;
+  ++misses_;
   Frame* frame = frames_[index].get();
   frame->key = key;
-  frame->pinned = true;
+  frame->pinned = pin;
   frame->dirty = false;
   frame->referenced = true;
   map_.emplace(key, index);
-  return frame;
-}
-
-BufferPool::Frame* BufferPool::Admit(uint64_t key, bool* hit) {
-  Frame* frame = Pin(key, hit);
-  frame->pinned = false;
   return frame;
 }
 
@@ -85,7 +91,18 @@ void BufferPool::Clear() {
   hits_ = misses_ = evictions_ = write_backs_ = 0;
 }
 
-size_t BufferPool::AcquireFrame() {
+size_t BufferPool::AcquireFrame(bool may_overflow) {
+  // At capacity, recycle an evictable frame before touching a free slot:
+  // a slot freed by an overflow trim must not let the pool grow past
+  // capacity while anything is evictable.
+  if (resident_frames_ >= capacity_frames_) {
+    const size_t victim = FindVictim();
+    if (victim != kNoVictim) {
+      EvictIndex(victim);
+      return victim;  // resident count unchanged: slab swapped, not freed
+    }
+    if (!may_overflow) return kNoVictim;
+  }
   if (!free_.empty()) {
     const size_t index = free_.back();
     free_.pop_back();
@@ -95,13 +112,6 @@ size_t BufferPool::AcquireFrame() {
     }
     ++resident_frames_;
     return index;
-  }
-  if (static_cast<int64_t>(frames_.size()) >= capacity_frames_) {
-    const size_t victim = FindVictim();
-    if (victim != kNoVictim) {
-      EvictIndex(victim);
-      return victim;  // resident count unchanged: slab swapped, not freed
-    }
   }
   // Every frame is pinned (or the pool is still filling): allocate. Beyond
   // capacity this is an overflow frame; Unpin trims it back.

@@ -17,7 +17,7 @@
 /// Pins may temporarily exceed capacity: when every frame is pinned the
 /// pool allocates *overflow* frames rather than deadlocking the wave that
 /// needs them (a cohort larger than the pool, or a diagnostics pass
-/// viewing the whole fleet). `Unpin` trims back — overflow frames release
+/// viewing the whole fleet). Unpinned admissions never overflow. `Unpin` trims back — overflow frames release
 /// their buffers once evictable — so `resident_bytes` returns to
 /// `capacity_frames × frame_bytes` as soon as the pressure passes.
 ///
@@ -67,7 +67,10 @@ class BufferPool {
   Frame* Pin(uint64_t key, bool* hit);
 
   /// Returns `key`'s frame *unpinned* (prefetch admission): resident on
-  /// return but evictable at any time. Same miss semantics as `Pin`.
+  /// return but evictable at any time. Same miss semantics as `Pin`,
+  /// except that an admission never grows the pool past capacity: when
+  /// every frame is pinned it admits nothing and returns nullptr. A
+  /// resident key keeps its pin state.
   Frame* Admit(uint64_t key, bool* hit);
 
   /// The resident frame for `key`, or nullptr. Sets the reference bit.
@@ -101,9 +104,13 @@ class BufferPool {
   int64_t write_backs() const { return write_backs_; }
 
  private:
-  /// Hands back a frame for a missing key: a free frame, an eviction
-  /// victim, or a fresh overflow frame.
-  size_t AcquireFrame();
+  /// `Pin` (pin = true) or `Admit` (pin = false).
+  Frame* Place(uint64_t key, bool pin, bool* hit);
+  /// Hands back a frame for a missing key: an eviction victim once the
+  /// pool is at capacity, else a free or fresh frame. With every frame
+  /// pinned that fresh frame is an overflow frame, or — unless
+  /// `may_overflow` — SIZE_MAX.
+  size_t AcquireFrame(bool may_overflow);
   /// Runs the clock hand; returns the victim index or SIZE_MAX when every
   /// frame is pinned.
   size_t FindVictim();

@@ -4,22 +4,20 @@
 
 #include "state/dense_store.h"
 #include "state/lazy_store.h"
-#include "state/quantized_store.h"
 #include "state/sharded_store.h"
 #include "state/tiered_store.h"
 
 namespace fedadmm {
 namespace {
 
-constexpr char kQuantizedPrefix[] = "quantized:";
 constexpr char kShardedPrefix[] = "sharded:";
 constexpr char kTieredPrefix[] = "tiered:";
 
 // The one grammar string every factory error quotes, so a bad spec always
 // tells the caller both what it said and what would have parsed.
 constexpr char kSpecGrammar[] =
-    "dense | lazy | quantized:<bits 1..16|32> | "
-    "tiered:<capacity_mb|<n>f>:<path>[:dense] | sharded:<W>:<inner>";
+    "dense | lazy | tiered:<capacity_mb|<n>f>:<path>[:dense] | "
+    "sharded:<W>:<inner>";
 
 Status SpecError(const std::string& spec, const std::string& why) {
   return Status::InvalidArgument("MakeClientStateStore: " + why +
@@ -94,17 +92,6 @@ Result<std::unique_ptr<ClientStateStore>> MakeClientStateStore(
     const std::string& spec) {
   if (spec == "dense") return {std::make_unique<DenseStateStore>()};
   if (spec == "lazy") return {std::make_unique<LazyStateStore>()};
-  if (spec.rfind(kQuantizedPrefix, 0) == 0) {
-    const std::string arg = spec.substr(sizeof(kQuantizedPrefix) - 1);
-    char* end = nullptr;
-    const long bits = std::strtol(arg.c_str(), &end, 10);
-    if (arg.empty() || end == nullptr || *end != '\0' ||
-        !((bits >= 1 && bits <= 16) || bits == 32)) {
-      return SpecError(spec, "bad quantized bits '" + arg +
-                                 "' (want 1..16 or 32)");
-    }
-    return {std::make_unique<QuantizedStateStore>(static_cast<int>(bits))};
-  }
   if (spec.rfind(kTieredPrefix, 0) == 0) return MakeTieredStore(spec);
   if (spec.rfind(kShardedPrefix, 0) == 0) {
     const std::string arg = spec.substr(sizeof(kShardedPrefix) - 1);
@@ -153,8 +140,8 @@ Result<std::unique_ptr<ClientStateStore>> MakeConfiguredClientStateStore(
 const std::vector<std::string>& ClientStateStoreExampleSpecs() {
   static const std::vector<std::string>* const kSpecs =
       new std::vector<std::string>(
-          {"dense", "lazy", "quantized:8", "quantized:32",
-           "tiered:64:/tmp/fedadmm_state.slab", "sharded:4:lazy"});
+          {"dense", "lazy", "tiered:64:/tmp/fedadmm_state.slab",
+           "sharded:4:lazy"});
   return *kSpecs;
 }
 

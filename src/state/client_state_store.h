@@ -18,10 +18,9 @@
 ///                        the slot's shared initial value. The common case
 ///                        under partial participation and churn: resident
 ///                        bytes track the touched population, not m.
-///   * `quantized:<b>`  — cold state is stored through the src/comm
-///                        quantizers at b bits (b in 1..16, or 32 = raw
-///                        fp32, lossless) and decoded on touch; hot
-///                        (in-flight) clients hold fp32 until `Release`.
+///   * `tiered:...`     — out-of-core: a fixed buffer pool over a slab
+///                        log (state/tiered_store.h); resident bytes are
+///                        the pool, whatever the touched population.
 ///
 /// A *slot* is one R^dim state vector per client (FedADMM registers two:
 /// model and dual). Slots are registered once via `Configure` with a shared
@@ -33,7 +32,7 @@
 /// client ids; calls for the same client are serial. `Configure`,
 /// `ForEachTouched` and the metrics are server-side and must not overlap
 /// client calls. Spans stay valid until the next `Configure`, except that
-/// `quantized` spans die at that client's `Release`.
+/// `tiered` spans die at that client's `Release`.
 
 #ifndef FEDADMM_STATE_CLIENT_STATE_STORE_H_
 #define FEDADMM_STATE_CLIENT_STATE_STORE_H_
@@ -69,7 +68,7 @@ class ClientStateStore {
  public:
   virtual ~ClientStateStore() = default;
 
-  /// Canonical spec string ("dense", "lazy", "quantized:8", ...) —
+  /// Canonical spec string ("dense", "lazy", "sharded:4:lazy", ...) —
   /// round-trips through `MakeClientStateStore`.
   virtual std::string name() const = 0;
 
@@ -79,8 +78,8 @@ class ClientStateStore {
 
   /// Read-only view of `(client_id, slot)`. Untouched clients see the
   /// slot's initial value; lazy backends do NOT materialize on read.
-  /// (Logically const: the quantized backend may decode into an internal
-  /// cache.)
+  /// (Logically const: the tiered backend may fault the slab into its
+  /// buffer pool.)
   virtual std::span<const float> View(int client_id, int slot) const = 0;
 
   /// Mutable view; materializes the client's slot on first touch (seeded
@@ -88,21 +87,21 @@ class ClientStateStore {
   virtual std::span<float> MutableView(int client_id, int slot) = 0;
 
   /// Declares all spans previously handed out for `client_id` dead. The
-  /// quantized backend re-encodes dirty hot state back to its cold form and
-  /// drops the fp32 copy; dense/lazy are no-ops. Safe on untouched clients.
+  /// tiered backend unpins the client's frames (they become evictable);
+  /// dense/lazy are no-ops. Safe on untouched clients.
   virtual void Release(int client_id) const = 0;
 
   /// Visits every materialized `(client, slot)` pair in increasing
   /// (client, slot) order — the basis for future eviction / checkpointing
   /// passes. Untouched clients are skipped. The visited span is only
-  /// guaranteed valid for the duration of the callback (the quantized
-  /// backend decodes cold entries into a temporary).
+  /// guaranteed valid for the duration of the callback (the tiered
+  /// backend reads cold slabs into a temporary).
   virtual void ForEachTouched(const TouchedStateVisitor& visitor) const = 0;
 
   /// Bytes of client state currently resident in memory: arena bytes for
-  /// `dense`, touched-block bytes for `lazy`, cold payload + hot fp32 bytes
-  /// for `quantized`. Excludes the O(m) pointer index every sparse backend
-  /// needs (8–16 bytes/client, independent of d).
+  /// `dense`, touched-block bytes for `lazy`, resident pool frames for
+  /// `tiered`. Excludes the O(m) pointer index every sparse backend needs
+  /// (8–16 bytes/client, independent of d).
   virtual int64_t bytes_resident() const = 0;
 
   /// Number of distinct clients with at least one materialized slot
@@ -140,9 +139,6 @@ class ClientStateStore {
 ///   * "dense"            — eager arena, O(m·d) from Configure;
 ///   * "lazy"             — slab-chunked, materialize on first mutable
 ///                          touch;
-///   * "quantized:<b>"    — cold state through the src/comm quantizers,
-///                          b in 1..16 (uniform b-bit grid) or 32 (raw
-///                          fp32, lossless);
 ///   * "tiered:<c>:<p>[:dense]"
 ///                        — out-of-core: a `<c>` MiB buffer pool (or
 ///                          `<n>f` = exactly n frames, the test hook)

@@ -16,7 +16,7 @@ namespace fedadmm {
 /// canonical client partition (util/shard.h).
 ///
 /// Spec: `"sharded:<W>:<inner>"` with W >= 2 and `<inner>` any unsharded
-/// backend spec (`dense` | `lazy` | `quantized:<b>`); `sharded:1:<inner>`
+/// backend spec (`dense` | `lazy` | `tiered:...`); `sharded:1:<inner>`
 /// is normalized to `<inner>` by the factory. Client `c` lives in shard
 /// `c % W` at local index `c / W`, so each worker owns an (almost) equal,
 /// churn-stable slice of the fleet and per-client calls for distinct

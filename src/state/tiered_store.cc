@@ -280,6 +280,9 @@ void TieredStateStore::FaultClientLocked(int client_id) const {
     if (pool_->Find(key) != nullptr) continue;
     bool hit = false;
     BufferPool::Frame* frame = pool_->Admit(key, &hit);
+    // Every frame is pinned by the wave: leave the client cold rather than
+    // grow the pool, so prefetch timing never changes residency.
+    if (frame == nullptr) return;
     const StateSlotSpec& spec = slots_[static_cast<size_t>(slot)];
     const Status status = log_->ReadFloatsAt(
         offset, {frame->data.data(), static_cast<size_t>(spec.dim)});

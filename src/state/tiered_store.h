@@ -11,7 +11,7 @@
 /// fleet whose touched state dwarfs RAM keep training.
 ///
 ///   * `View`/`MutableView` pin the slab's frame until `Release` (spans
-///     die at Release, like the quantized backend). Untouched slots read
+///     die at Release). Untouched slots read
 ///     the shared init value without touching the pool.
 ///   * A miss on a logged slab faults it back with one positional read; a
 ///     dirty eviction appends the slab and repoints the directory — the
@@ -21,8 +21,9 @@
 ///     round's aggregate/finalize phases and hot-path misses stay the
 ///     measured exception.
 ///   * Pins beyond capacity overflow (never deadlock) and trim back on
-///     release; `bytes_resident` is always `resident frames × frame
-///     bytes`.
+///     release; prefetch admissions never overflow, so once the pool is
+///     full `bytes_resident` (always `resident frames × frame bytes`) is
+///     a function of the schedule, not of when prefetch tasks run.
 ///
 /// Under `sharded:<W>:tiered:...` each worker's inner store receives
 /// `SetShardContext` and suffixes its log path with `.seg<shard>`, so W

@@ -1,16 +1,16 @@
 /// \file event_queue.h
 /// \brief Schedulable client-completion events for the federation engine.
 ///
-/// The synchronous simulator collapses a round's per-client timings into a
-/// single critical-path maximum. The event-driven execution modes
-/// (fl/server_loop.h) instead keep every client's finish time as its own
-/// *event*: when a client is dispatched, its `ClientTiming` (from
-/// `ComputeClientTiming`) plus the straggler policy's verdict fix the
-/// absolute simulated second at which the server stops tracking it, and the
-/// resulting `ClientCompletionEvent` is pushed onto an `EventQueue`. The
-/// server loop pops events in time order and reacts — aggregate
-/// immediately (async), buffer until K arrivals (buffered), or count a
-/// drop — so slow clients never stall fast ones.
+/// The federation engine (fl/server_loop.h) keeps every client's finish
+/// time as its own *event*: when a client is dispatched, its
+/// `ClientTiming` (from `ComputeClientTiming`) plus the straggler policy's
+/// verdict fix the absolute simulated second at which the server stops
+/// tracking it. In the event-driven modes the resulting
+/// `ClientCompletionEvent` is pushed onto an `EventQueue`, and the server
+/// loop pops events in time order and reacts — aggregate immediately
+/// (async), buffer until K arrivals (buffered), or count a drop — so slow
+/// clients never stall fast ones. The sync wave barrier awaits all of its
+/// events anyway, so it keeps them in selection order off the heap.
 ///
 /// Determinism: events are ordered by (time, sequence). `sequence` is the
 /// monotone dispatch counter, so ties between clients finishing at the same

@@ -1,11 +1,11 @@
 /// \file system_model.h
 /// \brief The façade the simulator talks to: fleet + straggler policy.
 ///
-/// A `SystemModel` owns a `FleetModel` and a `StragglerPolicy` and, given a
-/// round's uploaded messages, produces the round's simulated duration and a
-/// per-update verdict (admit / admit-partial / drop). It is stateless
-/// across rounds — the simulator owns the `VirtualClock` — so the same
-/// model can be shared by sequential runs.
+/// A `SystemModel` owns a `FleetModel` and a `StragglerPolicy`: the engine
+/// times each dispatched client against its profile and lets the policy
+/// judge it (admit / admit-partial / drop) as that client's completion
+/// event (sys/event_queue.h). It is stateless — the engine owns the
+/// simulated clock — so the same model can be shared by sequential runs.
 
 #ifndef FEDADMM_SYS_SYSTEM_MODEL_H_
 #define FEDADMM_SYS_SYSTEM_MODEL_H_
@@ -13,7 +13,6 @@
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "fl/types.h"
 #include "sys/profiles.h"
@@ -21,16 +20,6 @@
 #include "sys/virtual_clock.h"
 
 namespace fedadmm {
-
-/// \brief One round's system-level outcome.
-struct RoundJudgment {
-  /// Verdicts, parallel to the update vector passed to `JudgeRound`.
-  std::vector<StragglerDecision> decisions;
-  /// Simulated duration of the round (the policy-shaped critical path).
-  double round_seconds = 0.0;
-  int num_dropped = 0;
-  int num_admitted_partial = 0;
-};
 
 /// \brief Bundles the fleet and the straggler policy behind one interface.
 class SystemModel {
@@ -45,12 +34,6 @@ class SystemModel {
 
   /// "<fleet>/<policy>", e.g. "cellular/deadline-drop".
   std::string name() const { return fleet_.name() + "/" + policy_->name(); }
-
-  /// Times every update against its client's profile and applies the
-  /// straggler policy. `download_bytes_per_client` is what each client
-  /// pulled before training (algorithm-dependent; SCAFFOLD downloads 2d).
-  RoundJudgment JudgeRound(const std::vector<UpdateMessage>& updates,
-                           int64_t download_bytes_per_client) const;
 
  private:
   FleetModel fleet_;

@@ -122,8 +122,11 @@ class Result {
   /// True iff a value is held.
   bool ok() const { return value_.has_value(); }
 
-  /// The status: OK when a value is held.
-  Status status() const { return ok() ? Status::OK() : status_; }
+  /// The status: OK when a value is held. Returned by reference on an
+  /// lvalue, so `r.status().message()` stays valid as long as `r` does.
+  const Status& status() const& { return status_; }
+  /// By value on an rvalue: a reference into a dying Result would dangle.
+  Status status() && { return std::move(status_); }
 
   /// The held value; must only be called when `ok()`.
   const T& ValueOrDie() const& {

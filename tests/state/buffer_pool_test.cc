@@ -1,6 +1,7 @@
 // BufferPool: pin/unpin residency, second-chance eviction order, dirty
-// write-back hand-off, and the overflow-then-trim contract that keeps a
-// cohort larger than the pool from deadlocking.
+// write-back hand-off, the overflow-then-trim contract that keeps a
+// cohort larger than the pool from deadlocking, and admissions that never
+// grow a full pool (so prefetch timing cannot move residency).
 
 #include <gtest/gtest.h>
 
@@ -136,6 +137,40 @@ TEST(BufferPoolTest, OverflowPinsNeverFailAndTrimBack) {
   EXPECT_EQ(pool.resident_frames(), pool.capacity_frames());
   EXPECT_EQ(pool.resident_bytes(),
             pool.capacity_frames() * pool.frame_bytes());
+}
+
+TEST(BufferPoolTest, SlotFreedByTrimIsNotReusedPastCapacity) {
+  BufferPool pool(2, kFrameFloats, nullptr);
+  bool hit = false;
+  for (uint64_t key = 0; key < 3; ++key) pool.Pin(key, &hit);
+  for (uint64_t key = 0; key < 3; ++key) pool.Unpin(key, false);
+  ASSERT_EQ(pool.resident_frames(), 2);  // the overflow slot was freed
+  // A full pool recycles an evictable frame instead of refilling the
+  // freed slot, for pins and admissions alike.
+  pool.Pin(10, &hit);
+  pool.Unpin(10, false);
+  EXPECT_EQ(pool.resident_frames(), 2);
+  ASSERT_NE(pool.Admit(11, &hit), nullptr);
+  EXPECT_EQ(pool.resident_frames(), 2);
+}
+
+TEST(BufferPoolTest, AdmitNeverOverflows) {
+  BufferPool pool(2, kFrameFloats, nullptr);
+  bool hit = false;
+  pool.Pin(1, &hit);
+  pool.Pin(2, &hit);
+  // Every frame pinned: a pin would overflow, an admission is dropped.
+  EXPECT_EQ(pool.Admit(3, &hit), nullptr);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(pool.Find(3), nullptr);
+  EXPECT_EQ(pool.resident_frames(), 2);
+  pool.Unpin(1, false);
+  ASSERT_NE(pool.Admit(3, &hit), nullptr);
+  EXPECT_EQ(pool.resident_frames(), 2);
+  // Admitting a pinned resident key is a hit that keeps its pin.
+  BufferPool::Frame* pinned = pool.Admit(2, &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_TRUE(pinned->pinned);
 }
 
 TEST(BufferPoolTest, AdmitIsUnpinnedAndEvictable) {

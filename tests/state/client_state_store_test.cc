@@ -1,21 +1,17 @@
 // The client-state store (src/state): factory specs, backend semantics
-// (init-value views, materialize-on-touch, hot/cold quantized lifecycle),
+// (init-value views, materialize-on-touch),
 // the bytes_resident cost model, and the distinct-client concurrency
 // contract.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <set>
 #include <vector>
 
-#include "comm/quantize.h"
 #include "state/client_state_store.h"
 #include "state/lazy_store.h"
-#include "state/quantized_store.h"
-#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace fedadmm {
@@ -46,14 +42,13 @@ TEST(StateStoreFactoryTest, ParsesKnownSpecsAndRoundTripsNames) {
     ASSERT_TRUE(store.ok()) << spec;
     EXPECT_EQ(store.ValueOrDie()->name(), spec);
   }
-  EXPECT_EQ(MakeClientStateStore("quantized:16").ValueOrDie()->name(),
-            "quantized:16");
 }
 
 TEST(StateStoreFactoryTest, RejectsUnknownSpecs) {
   for (const std::string& bad :
        {"", "sparse", "quantized", "quantized:", "quantized:0",
-        "quantized:17", "quantized:33", "quantized:8x", "dense "}) {
+        "quantized:8", "quantized:17", "quantized:33", "quantized:8x",
+        "dense "}) {
     EXPECT_FALSE(MakeClientStateStore(bad).ok()) << "'" << bad << "'";
   }
 }
@@ -75,11 +70,6 @@ TEST_P(StateStoreBackendSweep, UntouchedClientsReadSlotInitialValues) {
 }
 
 TEST_P(StateStoreBackendSweep, MutationsPersistAcrossReleaseLossless) {
-  // quantized:32 is the identity codec, so this sweep includes it; lossy
-  // bit widths are covered separately with error bounds.
-  if (GetParam().rfind("quantized:", 0) == 0 && GetParam() != "quantized:32") {
-    GTEST_SKIP();
-  }
   auto store = MakeClientStateStore(GetParam()).ValueOrDie();
   store->Configure(kClients, TwoSlots(Ramp(-2.0f)));
   const std::vector<float> wrote = Ramp(7.5f);
@@ -149,26 +139,15 @@ TEST_P(StateStoreBackendSweep, ConcurrentDistinctClientTouchesAreSafe) {
     const auto y = store->View(c, 1);
     for (size_t k = 0; k < w.size(); ++k) {
       const float expect_w = init[k] + static_cast<float>(c);
-      if (GetParam() == "quantized:8") {
-        // One quantization round-trip: error bounded by scale / levels.
-        EXPECT_NEAR(w[k], expect_w, 1.0f);
-      } else {
-        EXPECT_EQ(w[k], expect_w) << c << " " << k;
-        EXPECT_EQ(y[k], static_cast<float>(c) - expect_w);
-      }
+      EXPECT_EQ(w[k], expect_w) << c << " " << k;
+      EXPECT_EQ(y[k], static_cast<float>(c) - expect_w);
     }
     store->Release(c);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, StateStoreBackendSweep,
-                         ::testing::Values("dense", "lazy", "quantized:8",
-                                           "quantized:32"),
-                         [](const auto& info) {
-                           std::string n = info.param;
-                           std::replace(n.begin(), n.end(), ':', '_');
-                           return n;
-                         });
+                         ::testing::Values("dense", "lazy"));
 
 TEST(DenseStoreTest, ResidentBytesAreMTimesDFromConfigure) {
   auto store = MakeClientStateStore("dense").ValueOrDie();
@@ -218,68 +197,6 @@ TEST(LazyStoreTest, SpansStayStableAcrossLaterMaterializations) {
   for (int c = 1; c < 4096; ++c) store.MutableView(c, 0)[0] = 1.0f;
   EXPECT_EQ(first.data(), store.View(0, 0).data());
   EXPECT_EQ(store.View(0, 0)[0], 3.5f);
-}
-
-TEST(QuantizedStoreTest, HotColdLifecycleAndResidentAccounting) {
-  QuantizedStateStore store(8);
-  store.Configure(kClients, TwoSlots(Ramp(0.0f)));
-  EXPECT_EQ(store.bytes_resident(), 0);
-
-  // In-flight: hot fp32 bytes.
-  auto w = store.MutableView(7, 0);
-  EXPECT_EQ(store.bytes_resident(), kDim * 4);
-  w[3] = 9.0f;
-  // Release: dirty hot state re-encodes to the cold payload, fp32 dropped.
-  store.Release(7);
-  const int64_t cold = store.bytes_resident();
-  EXPECT_GT(cold, 0);
-  EXPECT_LT(cold, kDim * 4);  // 8-bit codes + chunk scale ≪ fp32
-  EXPECT_EQ(cold, UniformQuantCodec(8).WireBytes(kDim));
-
-  // A read decodes into the hot cache; releasing a clean client just drops
-  // the fp32 copy without re-encoding.
-  (void)store.View(7, 0);
-  EXPECT_EQ(store.bytes_resident(), cold + kDim * 4);
-  store.Release(7);
-  EXPECT_EQ(store.bytes_resident(), cold);
-}
-
-TEST(QuantizedStoreTest, LossyRoundTripStaysWithinGridBound) {
-  QuantizedStateStore store(8);
-  store.Configure(kClients, TwoSlots({}));
-  Rng rng(5);
-  std::vector<float> wrote(static_cast<size_t>(kDim));
-  for (auto& v : wrote) v = static_cast<float>(rng.Normal(0.0, 2.0));
-  const float scale =
-      *std::max_element(wrote.begin(), wrote.end(),
-                        [](float a, float b) {
-                          return std::fabs(a) < std::fabs(b);
-                        });
-  auto view = store.MutableView(0, 0);
-  std::copy(wrote.begin(), wrote.end(), view.begin());
-  store.Release(0);
-  const float bound = std::fabs(scale) / 255.0f + 1e-6f;
-  const auto back = store.View(0, 0);
-  for (size_t k = 0; k < back.size(); ++k) {
-    EXPECT_NEAR(back[k], wrote[k], bound) << k;
-  }
-  store.Release(0);
-}
-
-TEST(QuantizedStoreTest, Bits32IsLosslessIdentity) {
-  QuantizedStateStore store(32);
-  EXPECT_EQ(store.name(), "quantized:32");
-  store.Configure(kClients, TwoSlots({}));
-  Rng rng(6);
-  std::vector<float> wrote(static_cast<size_t>(kDim));
-  for (auto& v : wrote) v = static_cast<float>(rng.Normal(0.0, 3.0));
-  auto view = store.MutableView(2, 1);
-  std::copy(wrote.begin(), wrote.end(), view.begin());
-  store.Release(2);
-  const auto back = store.View(2, 1);
-  EXPECT_TRUE(
-      std::equal(back.begin(), back.end(), wrote.begin(), wrote.end()));
-  store.Release(2);
 }
 
 }  // namespace

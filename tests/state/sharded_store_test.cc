@@ -108,11 +108,11 @@ TEST(ShardedStoreTest, ConfigureClampsShardCountToFleetSize) {
 }
 
 TEST(ShardedStoreTest, NameRoundTripsThroughFactory) {
-  ShardedStateStore store(/*num_shards=*/4, "quantized:8");
-  EXPECT_EQ(store.name(), "sharded:4:quantized:8");
+  ShardedStateStore store(/*num_shards=*/4, "lazy");
+  EXPECT_EQ(store.name(), "sharded:4:lazy");
   auto made = MakeClientStateStore(store.name());
   ASSERT_TRUE(made.ok());
-  EXPECT_EQ(made.ValueOrDie()->name(), "sharded:4:quantized:8");
+  EXPECT_EQ(made.ValueOrDie()->name(), "sharded:4:lazy");
 }
 
 TEST(ShardedStoreTest, FactoryNormalizesWEqualsOneToInner) {

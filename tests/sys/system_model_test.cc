@@ -54,29 +54,6 @@ History RunWithModel(const SystemModel* model, int threads,
   return history;
 }
 
-TEST(SystemModelTest, JudgeRoundCountsFates) {
-  // Two clients: a fast one and a 10x-slower straggler.
-  ClientSystemProfile fast;
-  fast.device.steps_per_second = 1000.0;
-  ClientSystemProfile slow = fast;
-  slow.device.steps_per_second = 10.0;
-  SystemModel model(FleetModel({fast, slow}),
-                    std::make_unique<DeadlineDropPolicy>(1.0));
-
-  std::vector<UpdateMessage> updates(2);
-  updates[0].client_id = 0;
-  updates[0].steps_run = 100;  // 0.1s: in time
-  updates[1].client_id = 1;
-  updates[1].steps_run = 100;  // 10s: dropped
-  const RoundJudgment judgment = model.JudgeRound(updates, 0);
-  ASSERT_EQ(judgment.decisions.size(), 2u);
-  EXPECT_EQ(judgment.decisions[0].fate, ClientFate::kAdmitted);
-  EXPECT_EQ(judgment.decisions[1].fate, ClientFate::kDropped);
-  EXPECT_EQ(judgment.num_dropped, 1);
-  EXPECT_EQ(judgment.num_admitted_partial, 0);
-  EXPECT_DOUBLE_EQ(judgment.round_seconds, 1.0);  // waits out the deadline
-}
-
 TEST(SystemModelTest, WaitForAllMatchesUnmodeledTrajectoryBitwise) {
   // Attaching a system model must only *measure* when nothing is dropped:
   // wait-for-all admits everything, so θ must equal the unmodeled run.

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace fedadmm {
 namespace {
 
@@ -56,6 +60,24 @@ TEST(ResultTest, HoldsError) {
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsNotFound());
   EXPECT_EQ(r.ValueOr(-1), -1);
+}
+
+TEST(ResultTest, StatusMessageReferenceOutlivesTheCall) {
+  // An lvalue Result hands out its own Status, so a reference into the
+  // message stays valid for the Result's lifetime (no temporary to dangle).
+  const Result<int> r(Status::InvalidArgument("bad spec 'sparse'"));
+  const std::string& message = r.status().message();
+  const Result<int> other(Status::NotFound("unrelated"));
+  EXPECT_FALSE(other.ok());
+  EXPECT_EQ(message, "bad spec 'sparse'");
+  EXPECT_EQ(&message, &r.status().message());
+}
+
+TEST(ResultTest, RvalueStatusIsMovedOut) {
+  Result<std::string> r(Status::IoError("disk gone"));
+  const Status status = std::move(r).status();
+  EXPECT_TRUE(status.IsIoError());
+  EXPECT_EQ(status.message(), "disk gone");
 }
 
 TEST(ResultTest, ValueOrReturnsValueWhenOk) {

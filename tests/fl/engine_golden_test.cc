@@ -18,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -45,27 +44,28 @@ constexpr int kDim = 7;
 constexpr int kRounds = 6;
 
 // One record, every deterministic field; doubles as IEEE-754 bit patterns.
+// (long long fields print with plain %lld / %llx.)
 struct GoldenRow {
   int round;
   int num_selected;
   int num_dropped;
   int num_admitted_partial;
   int staleness_max;
-  int64_t upload_bytes;
-  int64_t download_bytes;
-  int64_t upload_bytes_raw;
-  int64_t download_bytes_raw;
-  int64_t state_bytes_resident;
-  uint64_t train_loss;
-  uint64_t test_accuracy;
-  uint64_t test_loss;
-  uint64_t sim_seconds;
-  uint64_t staleness_mean;
+  long long upload_bytes;
+  long long download_bytes;
+  long long upload_bytes_raw;
+  long long download_bytes_raw;
+  long long state_bytes_resident;
+  unsigned long long train_loss;
+  unsigned long long test_accuracy;
+  unsigned long long test_loss;
+  unsigned long long sim_seconds;
+  unsigned long long staleness_mean;
 };
 
 struct GoldenRun {
   const char* name;
-  uint64_t theta_hash;
+  unsigned long long theta_hash;
   std::vector<GoldenRow> rows;
 };
 
@@ -74,8 +74,8 @@ bool CaptureMode() {
   return env != nullptr && std::string(env) == "1";
 }
 
-uint64_t HashTheta(const std::vector<float>& theta) {
-  uint64_t h = 0xcbf29ce484222325ull;
+unsigned long long HashTheta(const std::vector<float>& theta) {
+  unsigned long long h = 0xcbf29ce484222325ull;
   for (const float v : theta) {
     const uint32_t bits = std::bit_cast<uint32_t>(v);
     for (int b = 0; b < 4; ++b) {
@@ -87,38 +87,39 @@ uint64_t HashTheta(const std::vector<float>& theta) {
 }
 
 GoldenRow RowOf(const RoundRecord& r) {
-  return GoldenRow{r.round,
-                   r.num_selected,
-                   r.num_dropped,
-                   r.num_admitted_partial,
-                   r.staleness_max,
-                   r.upload_bytes,
-                   r.download_bytes,
-                   r.upload_bytes_raw,
-                   r.download_bytes_raw,
-                   r.state_bytes_resident,
-                   std::bit_cast<uint64_t>(r.train_loss),
-                   std::bit_cast<uint64_t>(r.test_accuracy),
-                   std::bit_cast<uint64_t>(r.test_loss),
-                   std::bit_cast<uint64_t>(r.sim_seconds),
-                   std::bit_cast<uint64_t>(r.staleness_mean)};
+  GoldenRow g;
+  g.round = r.round;
+  g.num_selected = r.num_selected;
+  g.num_dropped = r.num_dropped;
+  g.num_admitted_partial = r.num_admitted_partial;
+  g.staleness_max = r.staleness_max;
+  g.upload_bytes = r.upload_bytes;
+  g.download_bytes = r.download_bytes;
+  g.upload_bytes_raw = r.upload_bytes_raw;
+  g.download_bytes_raw = r.download_bytes_raw;
+  g.state_bytes_resident = r.state_bytes_resident;
+  g.train_loss = std::bit_cast<uint64_t>(r.train_loss);
+  g.test_accuracy = std::bit_cast<uint64_t>(r.test_accuracy);
+  g.test_loss = std::bit_cast<uint64_t>(r.test_loss);
+  g.sim_seconds = std::bit_cast<uint64_t>(r.sim_seconds);
+  g.staleness_mean = std::bit_cast<uint64_t>(r.staleness_mean);
+  return g;
 }
 
-void PrintCapture(const char* name, uint64_t theta_hash,
+void PrintCapture(const char* name, unsigned long long theta_hash,
                   const History& history) {
-  std::printf("// %s\n{\"%s\", 0x%016" PRIx64 "ull, {\n", name, name,
-              theta_hash);
+  std::printf("// %s\n{\"%s\", 0x%016llxull, {\n", name, name, theta_hash);
   for (const RoundRecord& r : history.records()) {
     const GoldenRow g = RowOf(r);
-    std::printf("  {%d, %d, %d, %d, %d, %" PRId64 ", %" PRId64 ", %" PRId64
-                ", %" PRId64 ", %" PRId64 ",\n   0x%016" PRIx64
-                "ull, 0x%016" PRIx64 "ull, 0x%016" PRIx64
-                "ull,\n   0x%016" PRIx64 "ull, 0x%016" PRIx64 "ull},\n",
+    std::printf("  {%d, %d, %d, %d, %d, %lld, %lld, %lld, %lld, %lld,\n",
                 g.round, g.num_selected, g.num_dropped, g.num_admitted_partial,
                 g.staleness_max, g.upload_bytes, g.download_bytes,
                 g.upload_bytes_raw, g.download_bytes_raw,
-                g.state_bytes_resident, g.train_loss, g.test_accuracy,
-                g.test_loss, g.sim_seconds, g.staleness_mean);
+                g.state_bytes_resident);
+    std::printf("   0x%016llxull, 0x%016llxull, 0x%016llxull,\n",
+                g.train_loss, g.test_accuracy, g.test_loss);
+    std::printf("   0x%016llxull, 0x%016llxull},\n", g.sim_seconds,
+                g.staleness_mean);
   }
   std::printf("}},\n");
 }

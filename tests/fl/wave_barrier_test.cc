@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
-#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -39,9 +39,11 @@ ClientSystemProfile Member(double compute_seconds,
   return profile;
 }
 
-// Runs full-participation sync FedADMM over `fleet` under `policy`.
+// Runs full-participation sync FedADMM over `fleet` under the straggler
+// policy `policy` (MakeStragglerPolicy's names).
 History RunBarrier(std::vector<ClientSystemProfile> fleet,
-                   std::unique_ptr<StragglerPolicy> policy, int rounds) {
+                   const std::string& policy, double deadline,
+                   int rounds = 1) {
   const int clients = static_cast<int>(fleet.size());
   QuadraticSpec spec;
   spec.num_clients = clients;
@@ -59,15 +61,15 @@ History RunBarrier(std::vector<ClientSystemProfile> fleet,
   config.max_rounds = rounds;
   config.num_threads = 1;
   Simulation sim(&problem, &algo, &selector, config);
-  const SystemModel model(FleetModel(std::move(fleet)), std::move(policy));
+  const SystemModel model(FleetModel(std::move(fleet)),
+                          MakeStragglerPolicy(policy, deadline).ValueOrDie());
   sim.set_system_model(&model);
   return std::move(sim.Run()).ValueOrDie();
 }
 
 TEST(WaitForAllBarrierTest, AdmitsEverythingAndWaitsForSlowest) {
   const History history =
-      RunBarrier({Member(1.0, 0.1), Member(50.0, 0.1)},
-                 std::make_unique<WaitForAllPolicy>(), 2);
+      RunBarrier({Member(1.0, 0.1), Member(50.0, 0.1)}, "wait-for-all", -1, 2);
   ASSERT_EQ(history.size(), 2);
   for (const RoundRecord& r : history.records()) {
     EXPECT_EQ(r.num_selected, 2);
@@ -82,23 +84,20 @@ TEST(WaitForAllBarrierTest, AdmitsEverythingAndWaitsForSlowest) {
 TEST(DeadlineDropBarrierTest, RoundLastsUntilLastTrackedClient) {
   // Everyone in time: the round ends with the slowest finisher.
   const History in_time =
-      RunBarrier({Member(1.0), Member(0.5)},
-                 std::make_unique<DeadlineDropPolicy>(5.0), 1);
+      RunBarrier({Member(1.0), Member(0.5)}, "deadline-drop", 5.0);
   EXPECT_DOUBLE_EQ(in_time.records()[0].sim_seconds, 1.0);
   EXPECT_EQ(in_time.records()[0].num_dropped, 0);
 
   // A late member: the server waits out the deadline, then drops it.
-  const History late = RunBarrier({Member(1.0), Member(9.0)},
-                                  std::make_unique<DeadlineDropPolicy>(5.0),
-                                  1);
+  const History late =
+      RunBarrier({Member(1.0), Member(9.0)}, "deadline-drop", 5.0);
   EXPECT_DOUBLE_EQ(late.records()[0].sim_seconds, 5.0);
 }
 
 TEST(DeadlineDropBarrierTest, CountsFatesAndKeepsTheCohortSize) {
   // A fast member and a 100x-slower straggler under a 1 s deadline.
   const History history =
-      RunBarrier({Member(0.1), Member(10.0)},
-                 std::make_unique<DeadlineDropPolicy>(1.0), 1);
+      RunBarrier({Member(0.1), Member(10.0)}, "deadline-drop", 1.0);
   const RoundRecord& r = history.records()[0];
   EXPECT_EQ(r.num_selected, 2);  // the cohort, drops included
   EXPECT_EQ(r.num_dropped, 1);
@@ -108,8 +107,7 @@ TEST(DeadlineDropBarrierTest, CountsFatesAndKeepsTheCohortSize) {
 
 TEST(DeadlineAdmitPartialBarrierTest, StragglerEndsTheRoundAtTheDeadline) {
   const History history =
-      RunBarrier({Member(2.0), Member(8.0)},
-                 std::make_unique<DeadlineAdmitPartialPolicy>(5.0), 1);
+      RunBarrier({Member(2.0), Member(8.0)}, "deadline-admit-partial", 5.0);
   const RoundRecord& r = history.records()[0];
   EXPECT_EQ(r.num_dropped, 0);
   EXPECT_EQ(r.num_admitted_partial, 1);

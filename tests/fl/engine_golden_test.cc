@@ -4,9 +4,12 @@
 // refactor that moves both sides passes them all. This file pins absolute
 // constants instead: for each scenario, an FNV-1a hash of the final θ's
 // bytes and every RoundRecord field except wall_seconds (doubles compared
-// by bit pattern, so NaN sentinels pin too). The scenarios run on the
+// by bit pattern, so NaN sentinels pin too). Most scenarios run on the
 // quadratic problem, whose trajectory involves no transcendental libm
-// calls.
+// calls. The NN scenarios (MLP and CNN on the synthetic bench data) pin the
+// dense kernels, the layers' backward passes and the fused local step;
+// their softmax/cross-entropy call expf/log, so they pin for the x86-64
+// glibc the suite runs on.
 //
 // Capture (prints the GOLDEN_* tables below as C++ source; paste them in):
 //
@@ -28,8 +31,13 @@
 
 #include "comm/codec.h"
 #include "core/fedadmm.h"
+#include "data/partition.h"
+#include "data/synthetic.h"
+#include "fl/algorithms/fedavg.h"
 #include "fl/algorithms/fedpd.h"
+#include "fl/algorithms/fedprox.h"
 #include "fl/algorithms/scaffold.h"
+#include "fl/nn_problem.h"
 #include "fl/quadratic_problem.h"
 #include "fl/selection.h"
 #include "fl/simulation.h"
@@ -177,12 +185,14 @@ std::unique_ptr<FederatedAlgorithm> MakeAlgo(const std::string& name) {
     return std::make_unique<FedPd>(Local(), 0.5f, 0.6, /*seed=*/7);
   }
   if (name == "SCAFFOLD") return std::make_unique<Scaffold>(Local());
+  if (name == "FedAvg") return std::make_unique<FedAvg>(Local());
   FedAdmmOptions options;
   options.local = Local();
   options.rho = StepSchedule(0.1);
   // η = |S_t|/m: required by the event modes, and kept in sync runs so
   // every FedADMM scenario shares one configuration.
   options.eta_active_fraction = true;
+  options.freeze_duals = name == "FedADMM-frozen";
   return std::make_unique<FedAdmm>(options);
 }
 
@@ -242,6 +252,57 @@ RunOutput RunScenario(const Scenario& s) {
   out.history = std::move(sim.Run()).ValueOrDie();
   out.theta = sim.theta();
   return out;
+}
+
+// The NN scenarios: the bench MLP (144 -> 256 -> 10) or the bench CNN on
+// the 12x12 synthetic digits, 100 clients holding 12 samples each in two
+// label shards (non-IID), 10% sync participation on 4 threads, batch 5 and
+// up to 10 variable local epochs; evaluation streams the 300 test samples
+// in batches of 256 + 44.
+constexpr int kNnClients = 100;
+
+RunOutput RunNnScenario(const ModelConfig& model, const std::string& algo,
+                        int rounds) {
+  const DataSplit split = GenerateSynthetic(SyntheticBenchSpec(
+      /*channels=*/1, /*hw=*/12, /*train_per_class=*/kNnClients * 12 / 10,
+      /*test_per_class=*/30, /*noise_stddev=*/1.0f));
+  Rng part_rng(5);
+  Partition partition =
+      PartitionShards(split.train.labels(), kNnClients, 2, &part_rng)
+          .ValueOrDie();
+  NnFederatedProblem problem(model, &split.train, &split.test,
+                             std::move(partition), /*num_workers=*/4);
+  LocalTrainSpec local;
+  local.learning_rate = 0.1f;
+  local.batch_size = 5;
+  local.max_epochs = 10;
+  local.variable_epochs = true;
+  std::unique_ptr<FederatedAlgorithm> algorithm;
+  if (algo == "FedProx") {
+    algorithm = std::make_unique<FedProx>(local, /*rho=*/1.0f);
+  } else {
+    FedAdmmOptions options;
+    options.local = local;
+    options.rho = StepSchedule(1.0);
+    algorithm = std::make_unique<FedAdmm>(options);
+  }
+  UniformFractionSelector selector(kNnClients, 0.1);
+  SimulationConfig config;
+  config.max_rounds = rounds;
+  config.seed = 3;
+  config.num_threads = 4;
+  Simulation sim(&problem, algorithm.get(), &selector, config);
+  RunOutput out;
+  out.history = std::move(sim.Run()).ValueOrDie();
+  out.theta = sim.theta();
+  return out;
+}
+
+ModelConfig BenchMlp() {
+  ModelConfig config = MlpConfig(144, 256, 10);
+  config.height = 12;
+  config.width = 12;
+  return config;
 }
 
 // GOLDEN_BEGIN (captured at the commit that introduced this file)
@@ -468,6 +529,129 @@ const GoldenRun kFedPdSync =
    0xc018cefd86320f4dull, 0x3fdd39420fa06002ull, 0x3fd20d0fd4d5d258ull,
    0x0000000000000000ull, 0x0000000000000000ull},
 }};
+// Added later, captured before the multi-row dense forward, the
+// parameter-only first-layer backward and the fused proximal step landed;
+// those must leave every constant here unchanged.
+const GoldenRun kFedAvgSync =
+{"fedavg_sync", 0x4aceba5d94bb4b67ull, {
+  {0, 6, 0, 0, 0, 168, 168, 168, 168, 0,
+   0xbfb03b65dae83360ull, 0x3fd1db34d2814e26ull, 0x40155418c645975cull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+  {1, 6, 0, 0, 0, 168, 168, 168, 168, 0,
+   0x3ff0cf01c853b775ull, 0x3fd62746b4d5f126ull, 0x400260103dc7b552ull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+  {2, 6, 0, 0, 0, 168, 168, 168, 168, 0,
+   0xc00f872cf91fc048ull, 0x3fd8bcd0821c23abull, 0x3ff5e16ba7529dddull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+  {3, 6, 0, 0, 0, 168, 168, 168, 168, 0,
+   0xc0031a2bf227db4cull, 0x3fdc517b72c58382ull, 0x3fda316c69051b30ull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+  {4, 6, 0, 0, 0, 168, 168, 168, 168, 0,
+   0xbff43fc13993a524ull, 0x3fdfb73de3faf356ull, 0xbfc027710a2473f5ull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+  {5, 6, 0, 0, 0, 168, 168, 168, 168, 0,
+   0xc0157b4a9ade7771ull, 0x3fe4433b3fb4b9d3ull, 0xbfe7bfae5e03cff4ull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+}};
+const GoldenRun kFrozenDualsSync =
+{"fedadmm_frozen_duals_sync", 0x17bdd8a3b87a9f75ull, {
+  {0, 6, 0, 0, 0, 168, 168, 168, 168, 672,
+   0xbfa08db750808ed0ull, 0x3fd01d06afa03073ull, 0x401dc937347449e1ull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+  {1, 6, 0, 0, 0, 168, 168, 168, 168, 672,
+   0xbf8c543a668079abull, 0x3fd1d16fd91fdbd8ull, 0x401575311256e093ull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+  {2, 6, 0, 0, 0, 168, 168, 168, 168, 672,
+   0xc0160eb35c70cb6bull, 0x3fd38172ff6a464aull, 0x400f4fc8c65d2644ull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+  {3, 6, 0, 0, 0, 168, 168, 168, 168, 672,
+   0xc003d57c302fafe7ull, 0x3fd55914eda61559ull, 0x40058aba12d475edull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+  {4, 6, 0, 0, 0, 168, 168, 168, 168, 672,
+   0xc00990a2cc9d058cull, 0x3fd6b762518deae0ull, 0x40002fb2c5d59f6full,
+   0x0000000000000000ull, 0x0000000000000000ull},
+  {5, 6, 0, 0, 0, 168, 168, 168, 168, 672,
+   0xc01ce56103ed111cull, 0x3fd8e59260ad4b00ull, 0x3ff3ccef3d16277eull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+}};
+const GoldenRun kNnMlpFedAdmm =
+{"nn_mlp_fedadmm", 0xad410b2575a80b6full, {
+  {0, 10, 0, 0, 0, 1587600, 1587600, 1587600, 1587600, 31752000,
+   0x3fba53f545c00fa3ull, 0x3fd06d3a06d3a06dull, 0x40018d730f5a06f1ull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+  {1, 10, 0, 0, 0, 1587600, 1587600, 1587600, 1587600, 31752000,
+   0x3fe44a54ddb0ded6ull, 0x3fe2222222222222ull, 0x3ff721b366f56502ull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+  {2, 10, 0, 0, 0, 1587600, 1587600, 1587600, 1587600, 31752000,
+   0x3fcd50e7ce698eebull, 0x3fe3bbbbbbbbbbbcull, 0x3ff207dbb5b38249ull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+  {3, 10, 0, 0, 0, 1587600, 1587600, 1587600, 1587600, 31752000,
+   0x3fc40c7117820637ull, 0x3fe8da740da740daull, 0x3fe607ddb5df495full,
+   0x0000000000000000ull, 0x0000000000000000ull},
+  {4, 10, 0, 0, 0, 1587600, 1587600, 1587600, 1587600, 31752000,
+   0x3fe30edf7492bb22ull, 0x3fe6666666666666ull, 0x3feebd8530e182fdull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+  {5, 10, 0, 0, 0, 1587600, 1587600, 1587600, 1587600, 31752000,
+   0x3fb9f139d8506845ull, 0x3fe8888888888889ull, 0x3fed211e6a84c88eull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+  {6, 10, 0, 0, 0, 1587600, 1587600, 1587600, 1587600, 31752000,
+   0x3fa137559af81aafull, 0x3fe7ae147ae147aeull, 0x3ff4624c2c1357d4ull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+  {7, 10, 0, 0, 0, 1587600, 1587600, 1587600, 1587600, 31752000,
+   0x3fc1c8c1ad7dbacdull, 0x3fe317e4b17e4b18ull, 0x400cca1e5d29c718ull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+  {8, 10, 0, 0, 0, 1587600, 1587600, 1587600, 1587600, 31752000,
+   0x3fda4a1a6c4c6466ull, 0x3fe051eb851eb852ull, 0x401b0c108cf8746cull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+  {9, 10, 0, 0, 0, 1587600, 1587600, 1587600, 1587600, 31752000,
+   0x3fa9e15ee9a26c83ull, 0x3fdeeeeeeeeeeeefull, 0x4024ad23b2f0a71eull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+}};
+const GoldenRun kNnMlpFedProx =
+{"nn_mlp_fedprox", 0xc45e0925ef032987ull, {
+  {0, 10, 0, 0, 0, 1587600, 1587600, 1587600, 1587600, 0,
+   0x3fba53f545c00fa3ull, 0x3fbf92c5f92c5f93ull, 0x4005efb632fe47abull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+  {1, 10, 0, 0, 0, 1587600, 1587600, 1587600, 1587600, 0,
+   0x3fbd86aea10b5e03ull, 0x3fd1eb851eb851ecull, 0x4000eb769f379f70ull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+  {2, 10, 0, 0, 0, 1587600, 1587600, 1587600, 1587600, 0,
+   0x3fc2c53bf6a9d491ull, 0x3fdb4e81b4e81b4full, 0x3ffaf472552c2074ull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+  {3, 10, 0, 0, 0, 1587600, 1587600, 1587600, 1587600, 0,
+   0x3fc735c5650d2dc2ull, 0x3fe0a3d70a3d70a4ull, 0x3ff65436f24ed253ull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+  {4, 10, 0, 0, 0, 1587600, 1587600, 1587600, 1587600, 0,
+   0x3f99d72c134b3993ull, 0x3fe147ae147ae148ull, 0x3ff4d6c371e1c785ull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+  {5, 10, 0, 0, 0, 1587600, 1587600, 1587600, 1587600, 0,
+   0x3fb02e9c85a9cb41ull, 0x3fe28f5c28f5c28full, 0x3ff4412285dd8542ull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+  {6, 10, 0, 0, 0, 1587600, 1587600, 1587600, 1587600, 0,
+   0x3f95c27184cd1e33ull, 0x3fe40da740da740eull, 0x3ff256b81a0525afull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+  {7, 10, 0, 0, 0, 1587600, 1587600, 1587600, 1587600, 0,
+   0x3f93ce5d49a023f8ull, 0x3fe58bf258bf258cull, 0x3ff06dd140a0034full,
+   0x0000000000000000ull, 0x0000000000000000ull},
+  {8, 10, 0, 0, 0, 1587600, 1587600, 1587600, 1587600, 0,
+   0x3fc4972359536936ull, 0x3fe7e4b17e4b17e5ull, 0x3fe98aa93ba191f9ull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+  {9, 10, 0, 0, 0, 1587600, 1587600, 1587600, 1587600, 0,
+   0x3fa94a7bf086e81cull, 0x3fe740da740da741ull, 0x3fe9b20cac9a07f1ull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+}};
+const GoldenRun kNnCnnFedAdmm =
+{"nn_cnn_fedadmm", 0x8e3f7a0c77426445ull, {
+  {0, 10, 0, 0, 0, 231440, 231440, 231440, 231440, 4628800,
+   0x3ff9f082ac6d2b68ull, 0x3fc70a3d70a3d70aull, 0x40025233a0d44216ull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+  {1, 10, 0, 0, 0, 231440, 231440, 231440, 231440, 4628800,
+   0x3ff002e9765209a5ull, 0x3fc4e81b4e81b4e8ull, 0x4001f114d42e79c7ull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+  {2, 10, 0, 0, 0, 231440, 231440, 231440, 231440, 4628800,
+   0x3ff0ceaf600c00eaull, 0x3fc5c28f5c28f5c3ull, 0x4001655305867856ull,
+   0x0000000000000000ull, 0x0000000000000000ull},
+}};
 // clang-format on
 // GOLDEN_END
 
@@ -555,6 +739,35 @@ TEST(EngineGoldenTest, FedPdSync) {
   s.algo = "FedPD";
   const RunOutput out = RunScenario(s);
   ExpectGolden(kFedPdSync, out.theta, out.history);
+}
+
+TEST(EngineGoldenTest, FedAvgSync) {
+  Scenario s;
+  s.algo = "FedAvg";
+  const RunOutput out = RunScenario(s);
+  ExpectGolden(kFedAvgSync, out.theta, out.history);
+}
+
+TEST(EngineGoldenTest, FedAdmmFrozenDualsSync) {
+  Scenario s;
+  s.algo = "FedADMM-frozen";
+  const RunOutput out = RunScenario(s);
+  ExpectGolden(kFrozenDualsSync, out.theta, out.history);
+}
+
+TEST(EngineGoldenTest, NnMlpFedAdmmNonIid) {
+  const RunOutput out = RunNnScenario(BenchMlp(), "FedADMM", 10);
+  ExpectGolden(kNnMlpFedAdmm, out.theta, out.history);
+}
+
+TEST(EngineGoldenTest, NnMlpFedProxNonIid) {
+  const RunOutput out = RunNnScenario(BenchMlp(), "FedProx", 10);
+  ExpectGolden(kNnMlpFedProx, out.theta, out.history);
+}
+
+TEST(EngineGoldenTest, NnCnnFedAdmmNonIid) {
+  const RunOutput out = RunNnScenario(BenchCnnConfig(1, 12), "FedADMM", 3);
+  ExpectGolden(kNnCnnFedAdmm, out.theta, out.history);
 }
 
 }  // namespace

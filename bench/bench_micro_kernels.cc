@@ -61,6 +61,42 @@ void BM_MatMul(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMul)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
+// nn-shaped GEMMs, args {m, k, n}: a batch-5 training step through the
+// bench MLP's first Linear (k = 144; 432 is the 3-channel input) and the
+// batch-256 evaluation forward. MatMulTransB is the Linear forward
+// (x W^T), MatMul at the same shape stands for the gemm_axpy_row path.
+void BM_MatMulTransBNn(benchmark::State& state) {
+  const int64_t m = state.range(0), k = state.range(1), n = state.range(2);
+  const auto a = RandomVec(static_cast<size_t>(m * k), 1);
+  const auto b = RandomVec(static_cast<size_t>(n * k), 2);
+  std::vector<float> c(static_cast<size_t>(m * n));
+  for (auto _ : state) {
+    ops::MatMulTransB(a.data(), b.data(), c.data(), m, k, n);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
+}
+BENCHMARK(BM_MatMulTransBNn)
+    ->Args({5, 144, 256})
+    ->Args({5, 432, 256})
+    ->Args({256, 144, 256});
+
+void BM_MatMulNn(benchmark::State& state) {
+  const int64_t m = state.range(0), k = state.range(1), n = state.range(2);
+  const auto a = RandomVec(static_cast<size_t>(m * k), 1);
+  const auto b = RandomVec(static_cast<size_t>(k * n), 2);
+  std::vector<float> c(static_cast<size_t>(m * n));
+  for (auto _ : state) {
+    ops::MatMul(a.data(), b.data(), c.data(), m, k, n);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
+}
+BENCHMARK(BM_MatMulNn)
+    ->Args({5, 144, 256})
+    ->Args({5, 432, 256})
+    ->Args({256, 144, 256});
+
 void BM_Im2Col(benchmark::State& state) {
   const int64_t hw = state.range(0);
   const int64_t channels = 3, kernel = 5, pad = 2;

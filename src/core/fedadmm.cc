@@ -45,24 +45,16 @@ UpdateMessage FedAdmm::ClientUpdate(int client_id, int round,
           ? std::vector<float>(w_stored.begin(), w_stored.end())
           : std::vector<float>(theta.begin(), theta.end());
 
-  // Minimize the augmented Lagrangian (3): g += y_i + ρ (w − θ).
+  // Minimize the augmented Lagrangian (3): g += y_i + ρ (w − θ); frozen
+  // duals drop the y_i offset.
   const bool frozen = options_.freeze_duals;
-  auto transform = [y, rho, theta, frozen](std::span<const float> w_now,
-                                           std::span<float> grad) {
-    const size_t n = grad.size();
-    if (frozen) {
-      for (size_t i = 0; i < n; ++i) {
-        grad[i] += rho * (w_now[i] - theta[i]);
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        grad[i] += y[i] + rho * (w_now[i] - theta[i]);
-      }
-    }
-  };
+  ProximalTerm term;
+  if (!frozen) term.offset = y;
+  term.anchor = theta;
+  term.rho = rho;
   const int epochs = SampleEpochs(options_.local, &rng);
   const LocalSolveResult result =
-      RunLocalSgd(problem, options_.local, epochs, w, &rng, transform);
+      RunLocalSgd(problem, options_.local, epochs, w, &rng, term);
 
   // Dual ascent (line 20): y_i ← y_i + ρ (w_i⁺ − θ).
   if (!frozen) {

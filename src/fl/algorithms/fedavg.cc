@@ -18,8 +18,8 @@ UpdateMessage FedAvg::ClientUpdate(int client_id, int round,
   (void)round;
   std::vector<float> w(theta.begin(), theta.end());
   const int epochs = SampleEpochs(local_, &rng);
-  const LocalSolveResult result = RunLocalSgd(
-      problem, local_, epochs, w, &rng, /*transform=*/nullptr);
+  const LocalSolveResult result =
+      RunLocalSgd(problem, local_, epochs, w, &rng, ProximalTerm{});
 
   UpdateMessage msg;
   msg.client_id = client_id;

@@ -34,17 +34,15 @@ UpdateMessage FedPd::ClientUpdate(int client_id, int round,
   std::span<float> y = store_->MutableView(client_id, kSlotDual);
   const float rho = rho_;
 
-  // Warm-start from the stored local model; anchor to the *current* θ.
-  auto transform = [y, rho, theta](std::span<const float> w_now,
-                                   std::span<float> grad) {
-    const size_t n = grad.size();
-    for (size_t i = 0; i < n; ++i) {
-      grad[i] += y[i] + rho * (w_now[i] - theta[i]);
-    }
-  };
+  // Warm-start from the stored local model; anchor to the *current* θ:
+  // grad += y + rho * (w - theta).
+  ProximalTerm term;
+  term.offset = y;
+  term.anchor = theta;
+  term.rho = rho;
   const int epochs = SampleEpochs(local_, &rng);
   const LocalSolveResult result =
-      RunLocalSgd(problem, local_, epochs, w, &rng, transform);
+      RunLocalSgd(problem, local_, epochs, w, &rng, term);
   // Dual ascent: y_i += ρ (w_i − θ).
   for (size_t i = 0; i < y.size(); ++i) {
     y[i] += rho * (w[i] - theta[i]);

@@ -18,17 +18,12 @@ UpdateMessage FedProx::ClientUpdate(int client_id, int round,
   (void)round;
   std::vector<float> w(theta.begin(), theta.end());
   const int epochs = SampleEpochs(local_, &rng);
-  const float rho = rho_;
-  // grad += rho * (w - theta): FedADMM's transform with y ≡ 0.
-  auto transform = [rho, theta](std::span<const float> w_now,
-                                std::span<float> grad) {
-    const size_t n = grad.size();
-    for (size_t i = 0; i < n; ++i) {
-      grad[i] += rho * (w_now[i] - theta[i]);
-    }
-  };
+  // grad += rho * (w - theta): FedADMM's term with y ≡ 0.
+  ProximalTerm term;
+  term.anchor = theta;
+  term.rho = rho_;
   const LocalSolveResult result =
-      RunLocalSgd(problem, local_, epochs, w, &rng, transform);
+      RunLocalSgd(problem, local_, epochs, w, &rng, term);
 
   UpdateMessage msg;
   msg.client_id = client_id;

@@ -33,15 +33,14 @@ UpdateMessage Scaffold::ClientUpdate(int client_id, int round,
 
   std::vector<float> w(theta.begin(), theta.end());
   const int epochs = SampleEpochs(local_, &rng);
-  // grad += c - c_i (variance-reduction correction).
-  auto transform = [&c, c_i](std::span<const float> w_now,
-                             std::span<float> grad) {
-    (void)w_now;
-    const size_t n = grad.size();
-    for (size_t i = 0; i < n; ++i) grad[i] += c[i] - c_i[i];
-  };
+  // grad += c - c_i (variance-reduction correction), the difference
+  // formed once per client instead of once per step.
+  std::vector<float> correction(c.size());
+  vec::Sub(c, c_i, correction);
+  ProximalTerm term;
+  term.offset = correction;
   const LocalSolveResult result =
-      RunLocalSgd(problem, local_, epochs, w, &rng, transform);
+      RunLocalSgd(problem, local_, epochs, w, &rng, term);
 
   UpdateMessage msg;
   msg.client_id = client_id;

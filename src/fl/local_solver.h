@@ -6,15 +6,16 @@
 ///   * FedAvg:   g
 ///   * FedProx:  g + ρ(w − θ)
 ///   * FedADMM:  g + y + ρ(w − θ)       (Alg. 1, line 17)
-/// The extra term is injected through `GradientTransform`, which also makes
-/// the paper's reduction claims directly testable: with the transforms
-/// aligned, the three solvers produce identical iterates given identical
-/// batch sequences (Section III-B).
+/// The extra term is plain data, a `ProximalTerm` (offset, anchor, ρ), not
+/// a callback: the solver applies it and the step `w += −η g'` in one fused
+/// pass (`simd::KernelTable::prox_sgd_step`). Being data also keeps the
+/// paper's reduction claims directly testable: with the terms aligned, the
+/// three solvers produce identical iterates given identical batch
+/// sequences (Section III-B).
 
 #ifndef FEDADMM_FL_LOCAL_SOLVER_H_
 #define FEDADMM_FL_LOCAL_SOLVER_H_
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -34,15 +35,27 @@ struct LocalTrainSpec {
   /// runs U{1, ..., max_epochs} epochs instead of exactly max_epochs.
   bool variable_epochs = false;
   /// Optional inexactness target ε of Eq. (6): when > 0, local training
-  /// stops after any epoch where the squared norm of the full transformed
-  /// gradient is <= epsilon (checked at epoch granularity).
+  /// stops after any epoch where the squared norm of the full gradient plus
+  /// term is <= epsilon (checked at epoch granularity).
   double epsilon = -1.0;
 };
 
-/// Adds the algorithm-specific term to the batch gradient, in place.
-/// Receives the current local iterate `w` and the batch gradient `grad`.
-using GradientTransform =
-    std::function<void(std::span<const float> w, std::span<float> grad)>;
+/// \brief The algorithm-specific term added to every batch gradient:
+///   g' = g + (offset + ρ (w − anchor))
+/// evaluated at the current local iterate w. An empty `offset` or `anchor`
+/// drops that part (g + offset, g + ρ (w − anchor), or plain g). Per
+/// algorithm:
+///   * FedAvg: no term.
+///   * FedProx, FedADMM with frozen duals: anchor θ.
+///   * FedADMM, FedPD: offset y_i, anchor θ.
+///   * SCAFFOLD: offset c − c_i (one float subtraction per element).
+/// The spans must stay valid and unchanged for the whole solve, and must
+/// not overlap the iterate.
+struct ProximalTerm {
+  std::span<const float> offset;
+  std::span<const float> anchor;
+  float rho = 0.0f;
+};
 
 /// \brief Outcome of a local solve.
 struct LocalSolveResult {
@@ -50,7 +63,7 @@ struct LocalSolveResult {
   double mean_loss = 0.0;
   int epochs_run = 0;
   int steps_run = 0;
-  /// Squared norm of the transformed gradient at the final iterate,
+  /// Squared norm of the gradient plus term at the final iterate,
   /// evaluated on the full local data — the attained ε_i of Eq. (6).
   double final_grad_norm_sq = 0.0;
 };
@@ -63,7 +76,7 @@ struct LocalSolveResult {
 /// is always measured so callers can report attained inexactness.
 LocalSolveResult RunLocalSgd(LocalProblem* problem, const LocalTrainSpec& spec,
                              int epochs, std::span<float> w, Rng* rng,
-                             const GradientTransform& transform);
+                             const ProximalTerm& term);
 
 /// \brief Resolves the epoch count for one (round, client) pair: either the
 /// fixed `spec.max_epochs` or U{1..max_epochs} under system heterogeneity.

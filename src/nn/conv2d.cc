@@ -63,6 +63,16 @@ Tensor Conv2d::Forward(const Tensor& input) {
 }
 
 Tensor Conv2d::Backward(const Tensor& grad_output) {
+  Tensor grad_input(cached_input_.shape());  // zero-initialized
+  BackwardImpl(grad_output, &grad_input);
+  return grad_input;
+}
+
+void Conv2d::BackwardParameters(const Tensor& grad_output) {
+  BackwardImpl(grad_output, nullptr);
+}
+
+void Conv2d::BackwardImpl(const Tensor& grad_output, Tensor* grad_input) {
   const Shape& in_shape = cached_input_.shape();
   const int64_t n = in_shape.dim(0);
   const int64_t h = in_shape.dim(2), w = in_shape.dim(3);
@@ -73,7 +83,6 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
   const int64_t img_in_sz = in_channels_ * h * w;
   const int64_t img_out_sz = out_channels_ * col_cols;
 
-  Tensor grad_input(in_shape);  // zero-initialized
   std::vector<float> columns(static_cast<size_t>(col_rows * col_cols));
   std::vector<float> grad_columns(static_cast<size_t>(col_rows * col_cols));
 
@@ -100,14 +109,14 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
       for (int64_t p = 0; p < col_cols; ++p) acc += plane[p];
       bias_.grad[oc] += static_cast<float>(acc);
     }
+    if (grad_input == nullptr) continue;
     // dcols[col_rows, cc] = W^T[col_rows, OC] * dOut[OC, cc]
     ops::MatMulTransA(weight_.value.data(), g_out, grad_columns.data(),
                       col_rows, out_channels_, col_cols);
     ops::Col2Im(grad_columns.data(), in_channels_, h, w, kernel_, kernel_,
                 stride_, stride_, padding_, padding_,
-                grad_input.data() + img * img_in_sz);
+                grad_input->data() + img * img_in_sz);
   }
-  return grad_input;
 }
 
 std::vector<Parameter*> Conv2d::Parameters() { return {&weight_, &bias_}; }

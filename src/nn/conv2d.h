@@ -22,6 +22,7 @@ class Conv2d : public Layer {
 
   Tensor Forward(const Tensor& input) override;
   Tensor Backward(const Tensor& grad_output) override;
+  void BackwardParameters(const Tensor& grad_output) override;
   std::vector<Parameter*> Parameters() override;
   Shape OutputShape(const Shape& input) const override;
   void Initialize(Rng* rng) override;
@@ -37,6 +38,10 @@ class Conv2d : public Layer {
   Parameter& bias() { return bias_; }
 
  private:
+  // Accumulates dW and db; also forms dX into `grad_input` (zeroed, input
+  // shape) unless it is nullptr.
+  void BackwardImpl(const Tensor& grad_output, Tensor* grad_input);
+
   int64_t in_channels_;
   int64_t out_channels_;
   int64_t kernel_;

@@ -5,7 +5,10 @@
 /// each layer caches whatever its backward pass needs during forward, and
 /// `Backward` both returns the input gradient and *accumulates* parameter
 /// gradients. This matches the training loop shape of the paper's local
-/// SGD solvers and keeps the memory model obvious.
+/// SGD solvers and keeps the memory model obvious. Training needs no
+/// gradient with respect to the network input, so the first layer that
+/// owns parameters runs `BackwardParameters` instead, which skips its input
+/// gradient (for `Linear`/`Conv2d`, a whole GEMM).
 
 #ifndef FEDADMM_NN_LAYER_H_
 #define FEDADMM_NN_LAYER_H_
@@ -46,6 +49,13 @@ class Layer {
   /// Given dLoss/dOutput, accumulates parameter gradients and returns
   /// dLoss/dInput. Must be called after a matching Forward.
   virtual Tensor Backward(const Tensor& grad_output) = 0;
+
+  /// Backward for a layer whose input gradient nobody reads: accumulates
+  /// exactly the parameter gradients `Backward` would, bit for bit, and
+  /// may skip computing dLoss/dInput. The default runs `Backward`.
+  virtual void BackwardParameters(const Tensor& grad_output) {
+    (void)Backward(grad_output);
+  }
 
   /// The layer's trainable parameters (possibly empty). Pointers remain
   /// valid for the lifetime of the layer.

@@ -37,7 +37,7 @@ Tensor Linear::Forward(const Tensor& input) {
   return out;
 }
 
-Tensor Linear::Backward(const Tensor& grad_output) {
+void Linear::BackwardParameters(const Tensor& grad_output) {
   const int64_t n = cached_input_.shape().dim(0);
   FEDADMM_CHECK_MSG(grad_output.shape() == Shape({n, out_features_}),
                     "Linear::Backward: bad grad shape");
@@ -51,6 +51,11 @@ Tensor Linear::Backward(const Tensor& grad_output) {
       for (int64_t j = 0; j < out_features_; ++j) db[j] += row[j];
     }
   }
+}
+
+Tensor Linear::Backward(const Tensor& grad_output) {
+  BackwardParameters(grad_output);
+  const int64_t n = cached_input_.shape().dim(0);
   // dX[N, in] = dY[N, out] * W[out, in]
   Tensor grad_input(Shape({n, in_features_}));
   ops::MatMul(grad_output.data(), weight_.value.data(), grad_input.data(), n,

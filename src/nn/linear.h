@@ -21,6 +21,7 @@ class Linear : public Layer {
 
   Tensor Forward(const Tensor& input) override;
   Tensor Backward(const Tensor& grad_output) override;
+  void BackwardParameters(const Tensor& grad_output) override;
   std::vector<Parameter*> Parameters() override;
   Shape OutputShape(const Shape& input) const override;
   void Initialize(Rng* rng) override;

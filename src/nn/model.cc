@@ -63,7 +63,7 @@ double Model::ForwardBackward(const Tensor& inputs,
                     "ForwardBackward requires a classification model");
   Tensor logits = net_->Forward(inputs);
   const double loss = ce_loss_.Forward(logits, labels);
-  net_->Backward(ce_loss_.Backward());
+  net_->BackwardParameters(ce_loss_.Backward());
   return loss;
 }
 
@@ -72,7 +72,7 @@ double Model::ForwardBackwardMse(const Tensor& inputs, const Tensor& targets) {
                     "ForwardBackwardMse requires an MSE model");
   Tensor preds = net_->Forward(inputs);
   const double loss = mse_loss_.Forward(preds, targets);
-  net_->Backward(mse_loss_.Backward());
+  net_->BackwardParameters(mse_loss_.Backward());
   return loss;
 }
 

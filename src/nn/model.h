@@ -55,7 +55,9 @@ class Model {
   void Initialize(Rng* rng);
 
   /// Classification: runs forward + loss + backward, accumulating parameter
-  /// gradients. Returns the mean batch loss. Requires kSoftmaxCrossEntropy.
+  /// gradients (`Sequential::BackwardParameters`: no gradient w.r.t. the
+  /// inputs is formed). Returns the mean batch loss. Requires
+  /// kSoftmaxCrossEntropy.
   double ForwardBackward(const Tensor& inputs, const std::vector<int>& labels);
 
   /// Regression: as above with MSE. Requires kMse.

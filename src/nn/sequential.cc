@@ -16,6 +16,15 @@ Tensor Sequential::Backward(const Tensor& grad_output) {
   return g;
 }
 
+void Sequential::BackwardParameters(const Tensor& grad_output) {
+  if (first_parameter_layer_ < 0) return;
+  Tensor g = grad_output;
+  for (int i = size() - 1; i > first_parameter_layer_; --i) {
+    g = layer(i)->Backward(g);
+  }
+  layer(first_parameter_layer_)->BackwardParameters(g);
+}
+
 std::vector<Parameter*> Sequential::Parameters() {
   std::vector<Parameter*> params;
   for (auto& layer : layers_) {

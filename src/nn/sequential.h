@@ -20,6 +20,9 @@ class Sequential : public Layer {
   /// Appends a layer; returns *this for chaining.
   Sequential& Add(std::unique_ptr<Layer> layer) {
     FEDADMM_CHECK(layer != nullptr);
+    if (first_parameter_layer_ < 0 && !layer->Parameters().empty()) {
+      first_parameter_layer_ = static_cast<int>(layers_.size());
+    }
     layers_.push_back(std::move(layer));
     return *this;
   }
@@ -32,6 +35,11 @@ class Sequential : public Layer {
 
   Tensor Forward(const Tensor& input) override;
   Tensor Backward(const Tensor& grad_output) override;
+  /// Backpropagates only as far as parameter gradients need: layers after
+  /// the first parameter-owning one run `Backward`, that layer runs
+  /// `BackwardParameters`, and the parameter-free layers before it are not
+  /// called at all.
+  void BackwardParameters(const Tensor& grad_output) override;
   std::vector<Parameter*> Parameters() override;
   Shape OutputShape(const Shape& input) const override;
   void Initialize(Rng* rng) override;
@@ -45,6 +53,7 @@ class Sequential : public Layer {
 
  private:
   std::vector<std::unique_ptr<Layer>> layers_;
+  int first_parameter_layer_ = -1;  // -1: no layer owns parameters
 };
 
 }  // namespace fedadmm

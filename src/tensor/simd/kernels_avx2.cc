@@ -20,9 +20,14 @@
 ///  * Reductions follow the canonical `kReduceLanes`-striped order; the
 ///    vector tail spills the accumulator registers and finishes in scalar
 ///    code over the same stripes.
+///  * `dot_rows` keeps up to `kDotRowsBlock` rows' stripes in registers, so
+///    each 8-float chunk of y is widened once (`vcvtps2pd`) for all of
+///    them, and combines four outputs at a time with a 4x4 transpose and
+///    vector adds from +0.0 — per output the scalar combine's add order.
 ///  * All loads/stores are unaligned (`loadu`/`storeu`); callers get the
 ///    64-byte-aligned fast case from the allocators, not from a contract.
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <immintrin.h>
@@ -117,6 +122,84 @@ double Dot(const float* x, const float* y, size_t n) {
     lane[i % kReduceLanes] += static_cast<double>(x[i]) * y[i];
   }
   return CombineLanes(lane);
+}
+
+/// Combines four outputs' stripes side by side: `lane[r]` holds output r's
+/// `kReduceLanes` stripes. After a 4x4 transpose of each half, register
+/// `cj` holds stripe j of all four outputs, and the adds run in ascending
+/// stripe order from +0.0 — per output exactly `CombineLanes`.
+void CombineLanes4(const double (*lane)[kReduceLanes], double* out) {
+  __m256d acc = _mm256_setzero_pd();
+  for (size_t half = 0; half < kReduceLanes; half += 4) {
+    const __m256d r0 = _mm256_loadu_pd(lane[0] + half);
+    const __m256d r1 = _mm256_loadu_pd(lane[1] + half);
+    const __m256d r2 = _mm256_loadu_pd(lane[2] + half);
+    const __m256d r3 = _mm256_loadu_pd(lane[3] + half);
+    const __m256d t0 = _mm256_unpacklo_pd(r0, r1);  // r0[0] r1[0] r0[2] r1[2]
+    const __m256d t1 = _mm256_unpackhi_pd(r0, r1);  // r0[1] r1[1] r0[3] r1[3]
+    const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
+    const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
+    acc = _mm256_add_pd(acc, _mm256_permute2f128_pd(t0, t2, 0x20));
+    acc = _mm256_add_pd(acc, _mm256_permute2f128_pd(t1, t3, 0x20));
+    acc = _mm256_add_pd(acc, _mm256_permute2f128_pd(t0, t2, 0x31));
+    acc = _mm256_add_pd(acc, _mm256_permute2f128_pd(t1, t3, 0x31));
+  }
+  _mm256_storeu_pd(out, acc);
+}
+
+/// Stripes of R rows of x against y, accumulated in registers and spilled
+/// into `lane[0..R)`. FMA is exact-product accumulation here (x holds
+/// widened floats), so it equals the scalar multiply-then-add.
+template <size_t R>
+void DotRowsBlock(const double* x, size_t ldx, const float* y, size_t n,
+                  double (*lane)[kReduceLanes]) {
+  __m256d lo[R];
+  __m256d hi[R];
+  for (size_t r = 0; r < R; ++r) {
+    lo[r] = _mm256_setzero_pd();
+    hi[r] = _mm256_setzero_pd();
+  }
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256d y0 = _mm256_cvtps_pd(_mm_loadu_ps(y + i));
+    const __m256d y1 = _mm256_cvtps_pd(_mm_loadu_ps(y + i + 4));
+    for (size_t r = 0; r < R; ++r) {
+      const double* xr = x + r * ldx + i;
+      lo[r] = _mm256_fmadd_pd(_mm256_loadu_pd(xr), y0, lo[r]);
+      hi[r] = _mm256_fmadd_pd(_mm256_loadu_pd(xr + 4), y1, hi[r]);
+    }
+  }
+  for (size_t r = 0; r < R; ++r) SpillLanes(lo[r], hi[r], lane[r]);
+  for (; i < n; ++i) {
+    const double yi = y[i];
+    for (size_t r = 0; r < R; ++r) {
+      lane[r][i % kReduceLanes] += x[r * ldx + i] * yi;
+    }
+  }
+}
+
+void DotRows(const double* x, size_t ldx, size_t rows, const float* y,
+             size_t n, double* out) {
+  // Two combine groups of four cover a block; rows past the block are
+  // zero so the second group never reads indeterminate stripes.
+  double lane[8][kReduceLanes];
+  double sums[8];
+  for (size_t r0 = 0; r0 < rows; r0 += kDotRowsBlock) {
+    const size_t rb = std::min(kDotRowsBlock, rows - r0);
+    const double* xb = x + r0 * ldx;
+    switch (rb) {
+      case 1: DotRowsBlock<1>(xb, ldx, y, n, lane); break;
+      case 2: DotRowsBlock<2>(xb, ldx, y, n, lane); break;
+      case 3: DotRowsBlock<3>(xb, ldx, y, n, lane); break;
+      case 4: DotRowsBlock<4>(xb, ldx, y, n, lane); break;
+      case 5: DotRowsBlock<5>(xb, ldx, y, n, lane); break;
+      default: DotRowsBlock<6>(xb, ldx, y, n, lane); break;
+    }
+    std::memset(lane[rb], 0, (8 - rb) * sizeof(lane[0]));
+    CombineLanes4(lane, sums);
+    if (rb > 4) CombineLanes4(lane + 4, sums + 4);
+    std::memcpy(out + r0, sums, rb * sizeof(double));
+  }
 }
 
 double SquaredL2(const float* x, size_t n) {
@@ -245,6 +328,58 @@ void GemmAxpyRow(const float* a, const float* b, float* c, int64_t kb,
   }
 }
 
+void ProxSgdStep(const float* grad, const float* offset,
+                 const float* anchor, float rho, float neg_lr, float* w,
+                 size_t n) {
+  const __m256 vrho = _mm256_set1_ps(rho);
+  const __m256 vlr = _mm256_set1_ps(neg_lr);
+  size_t i = 0;
+  // One loop per term shape keeps the branch out of the element loop; each
+  // computes the scalar expression's separate multiplies and adds.
+  if (offset != nullptr && anchor != nullptr) {
+    for (; i + 8 <= n; i += 8) {
+      const __m256 vw = _mm256_loadu_ps(w + i);
+      const __m256 pull = _mm256_mul_ps(
+          vrho, _mm256_sub_ps(vw, _mm256_loadu_ps(anchor + i)));
+      const __m256 g = _mm256_add_ps(
+          _mm256_loadu_ps(grad + i),
+          _mm256_add_ps(_mm256_loadu_ps(offset + i), pull));
+      _mm256_storeu_ps(w + i, _mm256_add_ps(vw, _mm256_mul_ps(vlr, g)));
+    }
+  } else if (anchor != nullptr) {
+    for (; i + 8 <= n; i += 8) {
+      const __m256 vw = _mm256_loadu_ps(w + i);
+      const __m256 pull = _mm256_mul_ps(
+          vrho, _mm256_sub_ps(vw, _mm256_loadu_ps(anchor + i)));
+      const __m256 g = _mm256_add_ps(_mm256_loadu_ps(grad + i), pull);
+      _mm256_storeu_ps(w + i, _mm256_add_ps(vw, _mm256_mul_ps(vlr, g)));
+    }
+  } else if (offset != nullptr) {
+    for (; i + 8 <= n; i += 8) {
+      const __m256 g = _mm256_add_ps(_mm256_loadu_ps(grad + i),
+                                     _mm256_loadu_ps(offset + i));
+      const __m256 vw = _mm256_loadu_ps(w + i);
+      _mm256_storeu_ps(w + i, _mm256_add_ps(vw, _mm256_mul_ps(vlr, g)));
+    }
+  } else {
+    for (; i + 8 <= n; i += 8) {
+      const __m256 vw = _mm256_loadu_ps(w + i);
+      const __m256 g = _mm256_loadu_ps(grad + i);
+      _mm256_storeu_ps(w + i, _mm256_add_ps(vw, _mm256_mul_ps(vlr, g)));
+    }
+  }
+  for (; i < n; ++i) {
+    float g = grad[i];
+    if (anchor != nullptr) {
+      const float pull = rho * (w[i] - anchor[i]);
+      g += offset != nullptr ? offset[i] + pull : pull;
+    } else if (offset != nullptr) {
+      g += offset[i];
+    }
+    w[i] += neg_lr * g;
+  }
+}
+
 void QuantizeUniform(const float* v, size_t n, float scale, int levels,
                      uint16_t* codes) {
   if (!(scale > 0.0f)) {
@@ -363,8 +498,10 @@ const KernelTable& Avx2KernelTable() {
       avx2::Axpy,          avx2::Add,
       avx2::AddScaled,     avx2::Sub,
       avx2::Scale,         avx2::Dot,
+      avx2::DotRows,
       avx2::SquaredL2,     avx2::SquaredDistance,
       avx2::MaxAbs,        avx2::GemmAxpyRow,
+      avx2::ProxSgdStep,
       avx2::QuantizeUniform, avx2::DequantizeGrid,
       avx2::PackCodes,     avx2::UnpackCodes,
   };

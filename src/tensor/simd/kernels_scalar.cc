@@ -58,6 +58,18 @@ double Dot(const float* x, const float* y, size_t n) {
   return CombineLanes(lane);
 }
 
+void DotRows(const double* x, size_t ldx, size_t rows, const float* y,
+             size_t n, double* out) {
+  for (size_t r = 0; r < rows; ++r) {
+    const double* xr = x + r * ldx;
+    double lane[kReduceLanes] = {0.0};
+    for (size_t i = 0; i < n; ++i) {
+      lane[i % kReduceLanes] += xr[i] * static_cast<double>(y[i]);
+    }
+    out[r] = CombineLanes(lane);
+  }
+}
+
 double SquaredL2(const float* x, size_t n) {
   double lane[kReduceLanes] = {0.0};
   for (size_t i = 0; i < n; ++i) {
@@ -95,6 +107,26 @@ void GemmAxpyRow(const float* a, const float* b, float* c, int64_t kb,
     if (ap == 0.0f) continue;
     const float* bp = b + p * ldb;
     for (int64_t j = 0; j < n; ++j) c[j] += ap * bp[j];
+  }
+}
+
+void ProxSgdStep(const float* grad, const float* offset,
+                 const float* anchor, float rho, float neg_lr, float* w,
+                 size_t n) {
+  if (offset != nullptr && anchor != nullptr) {
+    for (size_t i = 0; i < n; ++i) {
+      const float g = grad[i] + (offset[i] + rho * (w[i] - anchor[i]));
+      w[i] += neg_lr * g;
+    }
+  } else if (anchor != nullptr) {
+    for (size_t i = 0; i < n; ++i) {
+      const float g = grad[i] + rho * (w[i] - anchor[i]);
+      w[i] += neg_lr * g;
+    }
+  } else if (offset != nullptr) {
+    for (size_t i = 0; i < n; ++i) w[i] += neg_lr * (grad[i] + offset[i]);
+  } else {
+    for (size_t i = 0; i < n; ++i) w[i] += neg_lr * grad[i];
   }
 }
 
@@ -147,8 +179,10 @@ const KernelTable& ScalarKernels() {
       scalar::Axpy,          scalar::Add,
       scalar::AddScaled,     scalar::Sub,
       scalar::Scale,         scalar::Dot,
+      scalar::DotRows,
       scalar::SquaredL2,     scalar::SquaredDistance,
       scalar::MaxAbs,        scalar::GemmAxpyRow,
+      scalar::ProxSgdStep,
       scalar::QuantizeUniform, scalar::DequantizeGrid,
       scalar::PackCodes,     scalar::UnpackCodes,
   };

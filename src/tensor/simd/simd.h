@@ -18,12 +18,20 @@
 /// stay green across machines and across the dispatch override:
 ///
 ///  * Elementwise kernels (`axpy`, `add`, `add_scaled`, `sub`, `scale`,
-///    `gemm_axpy_row`, `quantize_uniform`, `dequantize_grid`) perform one
-///    correctly-rounded IEEE multiply and/or add per element in a fixed
-///    order; SSE/AVX lanes compute exactly what the scalar expression
-///    computes, so vectorization cannot change a bit. The AVX2 versions
-///    deliberately use separate multiply + add (no FMA contraction) to
-///    match the scalar two-rounding sequence.
+///    `gemm_axpy_row`, `prox_sgd_step`, `quantize_uniform`,
+///    `dequantize_grid`) perform one correctly-rounded IEEE multiply and/or
+///    add per element in a fixed order; SSE/AVX lanes compute exactly what
+///    the scalar expression computes, so vectorization cannot change a bit.
+///    The AVX2 versions deliberately use separate multiply + add (no FMA
+///    contraction) to match the scalar two-rounding sequence.
+///  * `prox_sgd_step` fuses the local solver's gradient term into the SGD
+///    step. Per element, in this order and each op rounded to float:
+///    `d = w - anchor`, `p = rho * d`, `t = offset + p`, `g' = grad + t`,
+///    `w = w + neg_lr * g'` (two roundings, never an FMA). A missing
+///    anchor drops `d`/`p` (`t = offset`); a missing offset makes `t = p`;
+///    with neither, `g' = grad`. That is exactly the former two-pass
+///    sequence "grad += offset + rho * (w - anchor)" then
+///    `axpy(neg_lr, grad, w)`, so fusing it cannot change a bit.
 ///  * Double-accumulator reductions (`dot`, `squared_l2`,
 ///    `squared_distance`) define the **lane-striped order as canonical**:
 ///    `kReduceLanes` (= 8) double accumulators, lane `j` summing elements
@@ -33,6 +41,15 @@
 ///    AVX2 FMA accumulation is bitwise equal to scalar multiply-then-add.
 ///    `squared_distance` squares a rounded double difference (inexact), so
 ///    both tables use multiply-then-add there.
+///  * `dot_rows` is `dot` for several rows of x at once, with x **already
+///    widened to double** (every x value must be a float value: that keeps
+///    each product exact, so the AVX2 FMA stays bitwise equal to
+///    multiply-then-add). Each output keeps its own `kReduceLanes` stripes.
+///    The ascending-lane combine may run several outputs side by side (the
+///    AVX2 table transposes four outputs' stripes and sums them with vector
+///    adds starting from +0.0): per output that is the same add sequence
+///    `((0 + lane0) + lane1) + ... + lane7`, so `dot_rows` on a widened row
+///    is bitwise `dot` on the float row.
 ///  * `max_abs` is a max-reduction: associative and commutative over
 ///    non-NaN values, hence order-independent. NaN elements are excluded
 ///    from the running max and reported through `saw_nan`.
@@ -54,6 +71,11 @@ namespace fedadmm::simd {
 /// order. Chosen to fill two 4-double AVX2 registers.
 inline constexpr size_t kReduceLanes = 8;
 
+/// Rows `dot_rows` keeps in registers at once (AVX2: two 4-double
+/// accumulators per row, twelve of the sixteen ymm registers). Callers that
+/// widen x panel by panel size their panels to this.
+inline constexpr size_t kDotRowsBlock = 6;
+
 /// \brief One complete set of hot-path kernels. Pointers are never null.
 ///
 /// All span-like arguments are raw pointer + length; buffers may be
@@ -73,6 +95,13 @@ struct KernelTable {
   void (*scale)(float alpha, float* x, size_t n);
   /// Lane-striped sum of x[i]*y[i] in double.
   double (*dot)(const float* x, const float* y, size_t n);
+  /// `rows` lane-striped dots against one row: for r in [0, rows),
+  ///   out[r] = dot of x[r*ldx .. r*ldx+n) with y[0 .. n).
+  /// x holds float values widened to double (see the contract above);
+  /// rows >= 0, ldx >= n. Register-blocks `kDotRowsBlock` rows at a time,
+  /// so the caller widens x once and streams y once per block.
+  void (*dot_rows)(const double* x, size_t ldx, size_t rows, const float* y,
+                   size_t n, double* out);
   /// Lane-striped sum of x[i]^2 in double.
   double (*squared_l2)(const float* x, size_t n);
   /// Lane-striped sum of (x[i]-y[i])^2 in double.
@@ -89,6 +118,14 @@ struct KernelTable {
   /// k-block), `b` the matching rows of B.
   void (*gemm_axpy_row)(const float* a, const float* b, float* c, int64_t kb,
                         int64_t n, int64_t ldb);
+
+  /// Local SGD step with the proximal term fused in: for i in [0, n),
+  ///   w[i] += neg_lr * (grad[i] + (offset[i] + rho * (w[i] - anchor[i])))
+  /// with the op order of the contract above. `offset` and/or `anchor` may
+  /// be nullptr (term absent). `w` must not overlap the inputs.
+  void (*prox_sgd_step)(const float* grad, const float* offset,
+                        const float* anchor, float rho, float neg_lr,
+                        float* w, size_t n);
 
   /// Deterministic uniform quantization of one chunk onto the grid of
   /// `levels` steps over [-scale, +scale]:

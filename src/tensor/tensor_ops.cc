@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <vector>
 
 #include "tensor/simd/simd.h"
 #include "util/status.h"
@@ -62,15 +63,29 @@ void MatMulTransAAccum(const float* a, const float* b, float* c, int64_t m,
 
 void MatMulTransB(const float* a, const float* b, float* c, int64_t m,
                   int64_t k, int64_t n) {
-  // C[i,j] = sum_p A[i,p] * B[j,p]; dot products over contiguous rows,
+  // C[i,j] = sum_p A[i,p] * B[j,p]: dot products over contiguous rows,
   // accumulated in the canonical lane-striped double order (see simd.h).
+  // Each panel of up to kDotRowsBlock rows of A is widened to double once;
+  // every B row is then widened once per panel inside `dot_rows`, instead
+  // of both operands once per output element.
   const simd::KernelTable& kern = simd::ActiveKernels();
-  for (int64_t i = 0; i < m; ++i) {
-    const float* ai = a + i * k;
-    float* ci = c + i * n;
+  const int64_t panel = static_cast<int64_t>(simd::kDotRowsBlock);
+  std::vector<double> wide(static_cast<size_t>(std::min(m, panel) * k));
+  double sums[simd::kDotRowsBlock];
+  for (int64_t i0 = 0; i0 < m; i0 += panel) {
+    const int64_t rows = std::min(panel, m - i0);
+    const float* ai = a + i0 * k;
+    for (int64_t p = 0; p < rows * k; ++p) {
+      wide[static_cast<size_t>(p)] = static_cast<double>(ai[p]);
+    }
+    float* ci = c + i0 * n;
     for (int64_t j = 0; j < n; ++j) {
-      ci[j] = static_cast<float>(
-          kern.dot(ai, b + j * k, static_cast<size_t>(k)));
+      kern.dot_rows(wide.data(), static_cast<size_t>(k),
+                    static_cast<size_t>(rows), b + j * k,
+                    static_cast<size_t>(k), sums);
+      for (int64_t r = 0; r < rows; ++r) {
+        ci[r * n + j] = static_cast<float>(sums[r]);
+      }
     }
   }
 }

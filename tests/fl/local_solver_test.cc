@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "fl/quadratic_problem.h"
 #include "tensor/vec.h"
 
@@ -52,14 +55,14 @@ TEST(LocalSolverTest, ReducesLocalObjective) {
   spec.batch_size = 0;
   spec.max_epochs = 10;
   Rng rng(3);
-  const auto result = RunLocalSgd(local.get(), spec, 10, w, &rng, nullptr);
+  const auto result = RunLocalSgd(local.get(), spec, 10, w, &rng, {});
   const double after = local->FullLossGradient(w, grad);
   EXPECT_LT(after, before);
   EXPECT_EQ(result.epochs_run, 10);
   EXPECT_EQ(result.steps_run, 10);  // full batch: one step per epoch
 }
 
-TEST(LocalSolverTest, TransformChangesTrajectory) {
+TEST(LocalSolverTest, ProximalTermChangesTrajectory) {
   QuadraticProblem problem = MakeProblem();
   auto local = problem.MakeLocalProblem(1, 0);
   LocalTrainSpec spec;
@@ -69,11 +72,11 @@ TEST(LocalSolverTest, TransformChangesTrajectory) {
 
   std::vector<float> w_plain(6, 1.0f), w_prox(6, 1.0f);
   Rng rng_a(4), rng_b(4);
-  RunLocalSgd(local.get(), spec, 3, w_plain, &rng_a, nullptr);
+  RunLocalSgd(local.get(), spec, 3, w_plain, &rng_a, {});
   const std::vector<float> anchor(6, 1.0f);
-  auto prox = [&anchor](std::span<const float> w, std::span<float> g) {
-    for (size_t i = 0; i < g.size(); ++i) g[i] += 10.0f * (w[i] - anchor[i]);
-  };
+  ProximalTerm prox;  // g += 10 (w - anchor)
+  prox.anchor = anchor;
+  prox.rho = 10.0f;
   RunLocalSgd(local.get(), spec, 3, w_prox, &rng_b, prox);
   // The proximal pull keeps w_prox closer to the anchor.
   EXPECT_LT(vec::SquaredDistance(w_prox, anchor),
@@ -88,7 +91,7 @@ TEST(LocalSolverTest, ReportsFinalTransformedGradNorm) {
   spec.learning_rate = 0.2f;
   spec.batch_size = 0;
   Rng rng(5);
-  const auto result = RunLocalSgd(local.get(), spec, 50, w, &rng, nullptr);
+  const auto result = RunLocalSgd(local.get(), spec, 50, w, &rng, {});
   std::vector<float> grad(6);
   local->FullLossGradient(w, grad);
   EXPECT_NEAR(result.final_grad_norm_sq, vec::SquaredL2Norm(grad), 1e-6);
@@ -104,7 +107,7 @@ TEST(LocalSolverTest, EpsilonStopsEarly) {
   spec.batch_size = 0;
   spec.epsilon = 1e-2;  // generous target: reached before 100 epochs
   Rng rng(6);
-  const auto result = RunLocalSgd(local.get(), spec, 100, w, &rng, nullptr);
+  const auto result = RunLocalSgd(local.get(), spec, 100, w, &rng, {});
   EXPECT_LT(result.epochs_run, 100);
   EXPECT_LE(result.final_grad_norm_sq, 1e-2);
 }
@@ -120,7 +123,7 @@ TEST(LocalSolverTest, MoreEpochsYieldSmallerInexactness) {
     auto local = problem.MakeLocalProblem(3, 0);
     std::vector<float> w(6, 1.5f);
     Rng rng(7);
-    return RunLocalSgd(local.get(), spec, epochs, w, &rng, nullptr)
+    return RunLocalSgd(local.get(), spec, epochs, w, &rng, {})
         .final_grad_norm_sq;
   };
   const double e1 = run(1);
@@ -139,10 +142,70 @@ TEST(LocalSolverTest, DeterministicGivenSeed) {
     auto local = problem.MakeLocalProblem(1, 0);
     std::vector<float> w(6, 0.3f);
     Rng rng(seed);
-    RunLocalSgd(local.get(), spec, 4, w, &rng, nullptr);
+    RunLocalSgd(local.get(), spec, 4, w, &rng, {});
     return w;
   };
   EXPECT_EQ(run(42), run(42));
+}
+
+// The former two-pass step: add the term to the batch gradient in place,
+// then w += -lr * g through vec::Axpy.
+std::vector<float> TwoPassReference(LocalProblem* local,
+                                    const LocalTrainSpec& spec, int epochs,
+                                    std::vector<float> w, Rng* rng,
+                                    const ProximalTerm& term) {
+  std::vector<float> grad(w.size());
+  for (int epoch = 0; epoch < epochs; ++epoch) {
+    for (const auto& batch : local->EpochBatches(spec.batch_size, rng)) {
+      local->BatchLossGradient(w, batch, grad);
+      for (size_t i = 0; i < grad.size(); ++i) {
+        if (!term.anchor.empty() && !term.offset.empty()) {
+          grad[i] += term.offset[i] + term.rho * (w[i] - term.anchor[i]);
+        } else if (!term.anchor.empty()) {
+          grad[i] += term.rho * (w[i] - term.anchor[i]);
+        } else if (!term.offset.empty()) {
+          grad[i] += term.offset[i];
+        }
+      }
+      vec::Axpy(-spec.learning_rate, grad, w);
+    }
+  }
+  return w;
+}
+
+TEST(LocalSolverTest, FusedStepMatchesTwoPassReferenceForEveryTermShape) {
+  QuadraticProblem problem = MakeProblem(2.0);
+  LocalTrainSpec spec;
+  spec.learning_rate = 0.07f;
+  spec.batch_size = 2;
+  const std::vector<float> offset = {0.3f, -1.1f, 0.0f, 2.5f, -0.25f, 0.9f};
+  const std::vector<float> anchor = {1.0f, 0.5f, -0.7f, 0.2f, 3.0f, -2.0f};
+  struct Shape {
+    const char* name;
+    bool offset;
+    bool anchor;
+  };
+  for (const Shape& shape : {Shape{"none", false, false},
+                             Shape{"anchor", false, true},
+                             Shape{"offset", true, false},
+                             Shape{"offset+anchor", true, true}}) {
+    SCOPED_TRACE(shape.name);
+    ProximalTerm term;
+    if (shape.offset) term.offset = offset;
+    if (shape.anchor) term.anchor = anchor;
+    term.rho = 0.6f;
+    auto local = problem.MakeLocalProblem(2, 0);
+    std::vector<float> w(6, 0.4f);
+    Rng rng_a(12), rng_b(12);
+    const std::vector<float> want =
+        TwoPassReference(local.get(), spec, 3, w, &rng_a, term);
+    RunLocalSgd(local.get(), spec, 3, w, &rng_b, term);
+    ASSERT_EQ(w.size(), want.size());
+    for (size_t i = 0; i < w.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint32_t>(w[i]), std::bit_cast<uint32_t>(want[i]))
+          << i;
+    }
+  }
 }
 
 TEST(LocalSolverTest, StrongConvexityFromLargeRhoPreventsDivergence) {
@@ -157,10 +220,9 @@ TEST(LocalSolverTest, StrongConvexityFromLargeRhoPreventsDivergence) {
   LocalTrainSpec spec;
   spec.learning_rate = 0.08f;
   spec.batch_size = 0;
-  const float rho = 10.0f;
-  auto admm = [&theta, rho](std::span<const float> w, std::span<float> g) {
-    for (size_t i = 0; i < g.size(); ++i) g[i] += rho * (w[i] - theta[i]);
-  };
+  ProximalTerm admm;  // g += rho (w - theta)
+  admm.anchor = theta;
+  admm.rho = 10.0f;
   std::vector<float> w(6, 1.0f);
   Rng rng(8);
   const auto result = RunLocalSgd(local.get(), spec, 30, w, &rng, admm);

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "nn/activations.h"
 #include "nn/flatten.h"
 #include "nn/linear.h"
+#include "nn/losses.h"
 #include "nn/model.h"
+#include "nn/model_zoo.h"
 #include "nn/test_util.h"
 #include "tensor/vec.h"
 
@@ -181,6 +186,111 @@ TEST(ModelTest, MseModelTrainsLinearMap) {
     model.SgdStep(0.2f);
   }
   EXPECT_LT(loss, 1e-4);
+}
+
+// ForwardBackward runs Sequential::BackwardParameters: the first
+// parameter-owning layer skips its input gradient and the parameter-free
+// layers before it are never called. The parameter gradients and the loss
+// must equal the full Backward path bit for bit.
+void ExpectParameterOnlyBackwardMatchesFull(const ModelConfig& config,
+                                            const Shape& input_shape) {
+  Rng rng(41);
+  auto fast = BuildModel(config);
+  fast->Initialize(&rng);
+  auto full = fast->Clone();
+  const int64_t batch = input_shape.dim(0);
+  std::vector<int> labels;
+  for (int64_t i = 0; i < batch; ++i) labels.push_back(static_cast<int>(i % 10));
+
+  fast->ZeroGrad();
+  full->ZeroGrad();
+  // Two batches, so accumulation into non-zero gradients is covered too.
+  for (int step = 0; step < 2; ++step) {
+    Tensor x(input_shape);
+    x.FillNormal(&rng);
+    const double fast_loss = fast->ForwardBackward(x, labels);
+
+    SoftmaxCrossEntropyLoss loss;
+    const double full_loss = loss.Forward(full->net()->Forward(x), labels);
+    const Tensor grad_input = full->net()->Backward(loss.Backward());
+    EXPECT_EQ(grad_input.shape(), input_shape);
+    EXPECT_EQ(std::bit_cast<uint64_t>(fast_loss),
+              std::bit_cast<uint64_t>(full_loss));
+  }
+  std::vector<float> g_fast, g_full;
+  fast->GetGradients(&g_fast);
+  full->GetGradients(&g_full);
+  ASSERT_EQ(g_fast.size(), g_full.size());
+  for (size_t i = 0; i < g_fast.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(g_fast[i]),
+              std::bit_cast<uint32_t>(g_full[i]))
+        << i;
+  }
+}
+
+TEST(ModelTest, ParameterOnlyBackwardMatchesFullBackwardMlp) {
+  // Flatten -> Linear(144 -> 256) -> ReLU -> Linear(256 -> 10).
+  ModelConfig config = MlpConfig(144, 256, 10);
+  config.height = 12;
+  config.width = 12;
+  ExpectParameterOnlyBackwardMatchesFull(config, Shape({5, 1, 12, 12}));
+}
+
+TEST(ModelTest, ParameterOnlyBackwardMatchesFullBackwardCnn) {
+  ExpectParameterOnlyBackwardMatchesFull(BenchCnnConfig(1, 12),
+                                         Shape({5, 1, 12, 12}));
+}
+
+// Parameter-free layer that counts its backward calls.
+class CountingIdentity : public Layer {
+ public:
+  explicit CountingIdentity(int* backward_calls) : calls_(backward_calls) {}
+  Tensor Forward(const Tensor& input) override { return input; }
+  Tensor Backward(const Tensor& grad_output) override {
+    ++*calls_;
+    return grad_output;
+  }
+  Shape OutputShape(const Shape& input) const override { return input; }
+  std::unique_ptr<Layer> Clone() const override {
+    return std::make_unique<CountingIdentity>(calls_);
+  }
+  std::string name() const override { return "CountingIdentity"; }
+
+ private:
+  int* calls_;
+};
+
+TEST(SequentialTest, BackwardParametersStopsAtFirstParameterLayer) {
+  int before = 0, between = 0;
+  Sequential net;
+  net.Emplace<CountingIdentity>(&before)
+      .Emplace<Linear>(4, 6)
+      .Emplace<CountingIdentity>(&between)
+      .Emplace<Linear>(6, 3);
+  Rng rng(43);
+  net.Initialize(&rng);
+  Tensor x(Shape({2, 4}));
+  x.FillNormal(&rng);
+  Tensor g(Shape({2, 3}));
+  g.FillNormal(&rng);
+
+  net.Forward(x);
+  net.BackwardParameters(g);
+  EXPECT_EQ(before, 0);
+  EXPECT_EQ(between, 1);
+  net.Backward(g);
+  EXPECT_EQ(before, 1);
+  EXPECT_EQ(between, 2);
+}
+
+TEST(SequentialTest, BackwardParametersWithoutParametersIsANoOp) {
+  int calls = 0;
+  Sequential net;
+  net.Emplace<CountingIdentity>(&calls).Emplace<ReLU>();
+  Tensor x(Shape({2, 4}));
+  net.Forward(x);
+  net.BackwardParameters(x);
+  EXPECT_EQ(calls, 0);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -302,6 +303,179 @@ TEST_F(SimdKernelsTest, PackUnpackAllWidthsByteEqual) {
       a.unpack_codes(pa.data(), n, bits, ua.data());
       ASSERT_EQ(us, codes) << "unpack bits=" << bits << " n=" << n;
       ASSERT_EQ(ua, codes) << "unpack bits=" << bits << " n=" << n;
+    }
+  }
+}
+
+/// Every table this host can run: the scalar reference always, AVX2 when
+/// present. The dot_rows and fused-step cases hold on each table by itself
+/// (so they run on hosts without AVX2 too); the cross-table equality of
+/// `dot` above then carries over to them.
+std::vector<std::pair<const char*, const KernelTable*>> AvailableTables() {
+  std::vector<std::pair<const char*, const KernelTable*>> tables = {
+      {"scalar", &ScalarKernels()}};
+  if (Avx2Kernels() != nullptr) tables.emplace_back("avx2", Avx2Kernels());
+  return tables;
+}
+
+/// RandomVector plus infinities and NaNs.
+std::vector<float> RandomVectorWithNonFinite(Rng* rng, size_t n) {
+  std::vector<float> v = RandomVector(rng, n);
+  for (auto& x : v) {
+    switch (rng->UniformInt(0, 39)) {
+      case 0:
+        x = std::numeric_limits<float>::infinity();
+        break;
+      case 1:
+        x = -std::numeric_limits<float>::infinity();
+        break;
+      case 2:
+        x = std::numeric_limits<float>::quiet_NaN();
+        break;
+      default:
+        break;
+    }
+  }
+  return v;
+}
+
+TEST(SimdDotRowsTest, EqualsPerRowDotOnEveryTable) {
+  for (const auto& [name, table] : AvailableTables()) {
+    SCOPED_TRACE(name);
+    const KernelTable& k = *table;
+    Rng rng(0xB1);
+    for (size_t rows = 1; rows <= 13; ++rows) {
+      for (size_t n : {0, 1, 7, 8, 9, 143, 144, 145}) {
+        for (bool non_finite : {false, true}) {
+          const size_t ldx = n + 1 + static_cast<size_t>(rng.UniformInt(0, 4));
+          // Offsets of one element put both operands off 32-byte alignment.
+          const std::vector<float> xf =
+              non_finite ? RandomVectorWithNonFinite(&rng, rows * ldx + 1)
+                         : RandomVector(&rng, rows * ldx + 1);
+          const std::vector<float> yv =
+              non_finite ? RandomVectorWithNonFinite(&rng, n + 3)
+                         : RandomVector(&rng, n + 3);
+          std::vector<double> xd(xf.size());
+          for (size_t i = 0; i < xf.size(); ++i) xd[i] = xf[i];
+          const float* y = yv.data() + 3;
+          // Preset outputs past `rows` must survive untouched.
+          std::vector<double> out(rows + 1, 7.0);
+          k.dot_rows(xd.data() + 1, ldx, rows, y, n, out.data());
+          for (size_t r = 0; r < rows; ++r) {
+            const double want = k.dot(xf.data() + 1 + r * ldx, y, n);
+            ASSERT_EQ(Bits(out[r]), Bits(want))
+                << "rows=" << rows << " n=" << n << " r=" << r
+                << " non_finite=" << non_finite;
+          }
+          ASSERT_EQ(out[rows], 7.0);
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdDotRowsTest, SignedZerosAndDenormalsPerRow) {
+  // Rows made only of ±0 and denormals: products underflow to signed
+  // zeros, so the +0.0 start of the combine is what decides the sign.
+  for (const auto& [name, table] : AvailableTables()) {
+    SCOPED_TRACE(name);
+    const KernelTable& k = *table;
+    const float tiny = std::numeric_limits<float>::denorm_min();
+    const std::vector<float> xf = {-0.0f, -tiny, 0.0f, -0.0f, tiny,
+                                   -0.0f, -0.0f, -tiny, -0.0f, tiny};
+    const std::vector<float> yv = {0.0f, tiny, -0.0f, 0.0f, -tiny,
+                                   0.0f, -0.0f, tiny, 0.0f, -tiny};
+    std::vector<double> xd(xf.begin(), xf.end());
+    for (size_t n = 0; n <= xf.size(); ++n) {
+      double out = 1.0;
+      k.dot_rows(xd.data(), n, 1, yv.data(), n, &out);
+      ASSERT_EQ(Bits(out), Bits(k.dot(xf.data(), yv.data(), n))) << n;
+    }
+  }
+}
+
+// The former two-pass local step: the term added to the gradient in place
+// (grad += offset + rho * (w - anchor), parts absent when null), then
+// axpy(neg_lr, grad, w) on the same table.
+void TwoPassStep(const KernelTable& k, std::vector<float> grad,
+                 const float* offset, const float* anchor, float rho,
+                 float neg_lr, std::vector<float>* w) {
+  for (size_t i = 0; i < grad.size(); ++i) {
+    if (offset != nullptr && anchor != nullptr) {
+      grad[i] += offset[i] + rho * ((*w)[i] - anchor[i]);
+    } else if (anchor != nullptr) {
+      grad[i] += rho * ((*w)[i] - anchor[i]);
+    } else if (offset != nullptr) {
+      grad[i] += offset[i];
+    }
+  }
+  k.axpy(neg_lr, grad.data(), w->data(), grad.size());
+}
+
+TEST(SimdProxSgdStepTest, EqualsTwoPassStepForEveryTermShape) {
+  for (const auto& [name, table] : AvailableTables()) {
+    SCOPED_TRACE(name);
+    const KernelTable& k = *table;
+    Rng rng(0xB2);
+    for (size_t n : TestSizes()) {
+      for (int shape = 0; shape < 4; ++shape) {
+        const bool has_offset = (shape & 1) != 0;
+        const bool has_anchor = (shape & 2) != 0;
+        const std::vector<float> grad = RandomVectorWithNonFinite(&rng, n + 1);
+        const std::vector<float> offset = RandomVector(&rng, n + 1);
+        const std::vector<float> anchor = RandomVector(&rng, n + 1);
+        const std::vector<float> w0 = RandomVector(&rng, n + 1);
+        const float rho = static_cast<float>(rng.Uniform(0.0, 4.0));
+        const float neg_lr = -static_cast<float>(rng.Uniform(0.0, 0.5));
+        // One-element offsets: unaligned operands.
+        const float* off = has_offset ? offset.data() + 1 : nullptr;
+        const float* anc = has_anchor ? anchor.data() + 1 : nullptr;
+        std::vector<float> want(w0.begin() + 1, w0.end());
+        TwoPassStep(k, std::vector<float>(grad.begin() + 1, grad.end()), off,
+                    anc, rho, neg_lr, &want);
+        std::vector<float> got = w0;
+        k.prox_sgd_step(grad.data() + 1, off, anc, rho, neg_lr,
+                        got.data() + 1, n);
+        ASSERT_EQ(Bits(got[0]), Bits(w0[0]));
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(Bits(got[i + 1]), Bits(want[i]))
+              << "n=" << n << " shape=" << shape << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(SimdKernelsTest, DotRowsAndProxSgdStepBitwiseEqualAcrossTables) {
+  Rng rng(0xB3);
+  const KernelTable& s = ScalarKernels();
+  const KernelTable& a = *Avx2Kernels();
+  for (size_t n : TestSizes()) {
+    const size_t rows = static_cast<size_t>(rng.UniformInt(1, 13));
+    const std::vector<float> xf = RandomVector(&rng, rows * n);
+    const std::vector<double> xd(xf.begin(), xf.end());
+    const std::vector<float> y = RandomVector(&rng, n);
+    std::vector<double> os(rows), oa(rows);
+    s.dot_rows(xd.data(), n, rows, y.data(), n, os.data());
+    a.dot_rows(xd.data(), n, rows, y.data(), n, oa.data());
+    for (size_t r = 0; r < rows; ++r) {
+      ASSERT_EQ(Bits(os[r]), Bits(oa[r])) << "dot_rows n=" << n << " r=" << r;
+    }
+
+    const std::vector<float> grad = RandomVector(&rng, n);
+    const std::vector<float> offset = RandomVector(&rng, n);
+    const std::vector<float> anchor = RandomVector(&rng, n);
+    const std::vector<float> w0 = RandomVector(&rng, n);
+    for (int shape = 0; shape < 4; ++shape) {
+      const float* off = (shape & 1) != 0 ? offset.data() : nullptr;
+      const float* anc = (shape & 2) != 0 ? anchor.data() : nullptr;
+      std::vector<float> ws = w0, wa = w0;
+      s.prox_sgd_step(grad.data(), off, anc, 0.75f, -0.1f, ws.data(), n);
+      a.prox_sgd_step(grad.data(), off, anc, 0.75f, -0.1f, wa.data(), n);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(Bits(ws[i]), Bits(wa[i]))
+            << "prox_sgd_step n=" << n << " shape=" << shape << " i=" << i;
+      }
     }
   }
 }

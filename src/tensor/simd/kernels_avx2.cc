@@ -124,11 +124,11 @@ double Dot(const float* x, const float* y, size_t n) {
   return CombineLanes(lane);
 }
 
-/// Combines four outputs' stripes side by side: `lane[r]` holds output r's
-/// `kReduceLanes` stripes. After a 4x4 transpose of each half, register
+/// Combines four outputs' stripes side by side: `lane[r]` points to output
+/// r's `kReduceLanes` stripes. After a 4x4 transpose of each half, register
 /// `cj` holds stripe j of all four outputs, and the adds run in ascending
 /// stripe order from +0.0 — per output exactly `CombineLanes`.
-void CombineLanes4(const double (*lane)[kReduceLanes], double* out) {
+void CombineLanes4(const double* const* lane, double* out) {
   __m256d acc = _mm256_setzero_pd();
   for (size_t half = 0; half < kReduceLanes; half += 4) {
     const __m256d r0 = _mm256_loadu_pd(lane[0] + half);
@@ -180,13 +180,13 @@ void DotRowsBlock(const double* x, size_t ldx, const float* y, size_t n,
 
 void DotRows(const double* x, size_t ldx, size_t rows, const float* y,
              size_t n, double* out) {
-  // Two combine groups of four cover a block; rows past the block are
-  // zero so the second group never reads indeterminate stripes.
-  double lane[8][kReduceLanes];
-  double sums[8];
+  // Two combine groups of four cover a block; slots past the block's rows
+  // read a zero row, and their sums are dropped.
+  static constexpr double kZeroLanes[kReduceLanes] = {};
   for (size_t r0 = 0; r0 < rows; r0 += kDotRowsBlock) {
     const size_t rb = std::min(kDotRowsBlock, rows - r0);
     const double* xb = x + r0 * ldx;
+    double lane[kDotRowsBlock][kReduceLanes];  // every row < rb is spilled
     switch (rb) {
       case 1: DotRowsBlock<1>(xb, ldx, y, n, lane); break;
       case 2: DotRowsBlock<2>(xb, ldx, y, n, lane); break;
@@ -195,9 +195,11 @@ void DotRows(const double* x, size_t ldx, size_t rows, const float* y,
       case 5: DotRowsBlock<5>(xb, ldx, y, n, lane); break;
       default: DotRowsBlock<6>(xb, ldx, y, n, lane); break;
     }
-    std::memset(lane[rb], 0, (8 - rb) * sizeof(lane[0]));
-    CombineLanes4(lane, sums);
-    if (rb > 4) CombineLanes4(lane + 4, sums + 4);
+    const double* rowp[8];
+    for (size_t r = 0; r < 8; ++r) rowp[r] = r < rb ? lane[r] : kZeroLanes;
+    double sums[8] = {};
+    CombineLanes4(rowp, sums);
+    if (rb > 4) CombineLanes4(rowp + 4, sums + 4);
     std::memcpy(out + r0, sums, rb * sizeof(double));
   }
 }

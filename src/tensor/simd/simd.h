@@ -97,9 +97,9 @@ struct KernelTable {
   double (*dot)(const float* x, const float* y, size_t n);
   /// `rows` lane-striped dots against one row: for r in [0, rows),
   ///   out[r] = dot of x[r*ldx .. r*ldx+n) with y[0 .. n).
-  /// x holds float values widened to double (see the contract above);
-  /// rows >= 0, ldx >= n. Register-blocks `kDotRowsBlock` rows at a time,
-  /// so the caller widens x once and streams y once per block.
+  /// x holds float values widened to double (see the contract above) and
+  /// ldx >= n. Register-blocks `kDotRowsBlock` rows at a time, so each
+  /// chunk of y is widened once per block rather than once per row.
   void (*dot_rows)(const double* x, size_t ldx, size_t rows, const float* y,
                    size_t n, double* out);
   /// Lane-striped sum of x[i]^2 in double.

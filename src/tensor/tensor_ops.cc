@@ -71,7 +71,7 @@ void MatMulTransB(const float* a, const float* b, float* c, int64_t m,
   const simd::KernelTable& kern = simd::ActiveKernels();
   const int64_t panel = static_cast<int64_t>(simd::kDotRowsBlock);
   std::vector<double> wide(static_cast<size_t>(std::min(m, panel) * k));
-  double sums[simd::kDotRowsBlock];
+  double sums[simd::kDotRowsBlock] = {};
   for (int64_t i0 = 0; i0 < m; i0 += panel) {
     const int64_t rows = std::min(panel, m - i0);
     const float* ai = a + i0 * k;

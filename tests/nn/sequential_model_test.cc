@@ -200,7 +200,9 @@ void ExpectParameterOnlyBackwardMatchesFull(const ModelConfig& config,
   auto full = fast->Clone();
   const int64_t batch = input_shape.dim(0);
   std::vector<int> labels;
-  for (int64_t i = 0; i < batch; ++i) labels.push_back(static_cast<int>(i % 10));
+  for (int64_t i = 0; i < batch; ++i) {
+    labels.push_back(static_cast<int>(i % 10));
+  }
 
   fast->ZeroGrad();
   full->ZeroGrad();

@@ -374,26 +374,6 @@ TEST(SimdDotRowsTest, EqualsPerRowDotOnEveryTable) {
   }
 }
 
-TEST(SimdDotRowsTest, SignedZerosAndDenormalsPerRow) {
-  // Rows made only of ±0 and denormals: products underflow to signed
-  // zeros, so the +0.0 start of the combine is what decides the sign.
-  for (const auto& [name, table] : AvailableTables()) {
-    SCOPED_TRACE(name);
-    const KernelTable& k = *table;
-    const float tiny = std::numeric_limits<float>::denorm_min();
-    const std::vector<float> xf = {-0.0f, -tiny, 0.0f, -0.0f, tiny,
-                                   -0.0f, -0.0f, -tiny, -0.0f, tiny};
-    const std::vector<float> yv = {0.0f, tiny, -0.0f, 0.0f, -tiny,
-                                   0.0f, -0.0f, tiny, 0.0f, -tiny};
-    std::vector<double> xd(xf.begin(), xf.end());
-    for (size_t n = 0; n <= xf.size(); ++n) {
-      double out = 1.0;
-      k.dot_rows(xd.data(), n, 1, yv.data(), n, &out);
-      ASSERT_EQ(Bits(out), Bits(k.dot(xf.data(), yv.data(), n))) << n;
-    }
-  }
-}
-
 // The former two-pass local step: the term added to the gradient in place
 // (grad += offset + rho * (w - anchor), parts absent when null), then
 // axpy(neg_lr, grad, w) on the same table.

@@ -308,9 +308,9 @@ TEST_F(SimdKernelsTest, PackUnpackAllWidthsByteEqual) {
 }
 
 /// Every table this host can run: the scalar reference always, AVX2 when
-/// present. The dot_rows and fused-step cases hold on each table by itself
-/// (so they run on hosts without AVX2 too); the cross-table equality of
-/// `dot` above then carries over to them.
+/// present. The dot_rows and fused-step cases below hold on each table by
+/// itself, so they also run on hosts without AVX2;
+/// `DotRowsAndProxSgdStepBitwiseEqualAcrossTables` compares the tables.
 std::vector<std::pair<const char*, const KernelTable*>> AvailableTables() {
   std::vector<std::pair<const char*, const KernelTable*>> tables = {
       {"scalar", &ScalarKernels()}};
@@ -348,15 +348,14 @@ TEST(SimdDotRowsTest, EqualsPerRowDotOnEveryTable) {
       for (size_t n : {0, 1, 7, 8, 9, 143, 144, 145}) {
         for (bool non_finite : {false, true}) {
           const size_t ldx = n + 1 + static_cast<size_t>(rng.UniformInt(0, 4));
-          // Offsets of one element put both operands off 32-byte alignment.
+          // The +1 / +3 offsets put both operands off 32-byte alignment.
           const std::vector<float> xf =
               non_finite ? RandomVectorWithNonFinite(&rng, rows * ldx + 1)
                          : RandomVector(&rng, rows * ldx + 1);
           const std::vector<float> yv =
               non_finite ? RandomVectorWithNonFinite(&rng, n + 3)
                          : RandomVector(&rng, n + 3);
-          std::vector<double> xd(xf.size());
-          for (size_t i = 0; i < xf.size(); ++i) xd[i] = xf[i];
+          const std::vector<double> xd(xf.begin(), xf.end());
           const float* y = yv.data() + 3;
           // Preset outputs past `rows` must survive untouched.
           std::vector<double> out(rows + 1, 7.0);

@@ -132,6 +132,7 @@ void ProxSgdStep(const float* grad, const float* offset,
 
 void QuantizeUniform(const float* v, size_t n, float scale, int levels,
                      uint16_t* codes) {
+  if (n == 0) return;  // memset forbids null even at length 0
   if (!(scale > 0.0f)) {
     // Every grid position is the origin: floor(0 + 0.5) == 0.
     std::memset(codes, 0, n * sizeof(uint16_t));
@@ -152,6 +153,7 @@ void QuantizeUniform(const float* v, size_t n, float scale, int levels,
 
 void DequantizeGrid(const uint16_t* codes, size_t n, float scale, int levels,
                     float* out) {
+  if (n == 0) return;  // memset forbids null even at length 0
   if (scale == 0.0f) {
     std::memset(out, 0, n * sizeof(float));
     return;

@@ -112,7 +112,8 @@ Status ByteReader::Bytes(void* out, size_t len) {
   if (remaining() < len) {
     return Status::IoError("ByteReader: buffer exhausted");
   }
-  std::memcpy(out, data_.data() + pos_, len);
+  // memcpy forbids a null destination even at length 0.
+  if (len > 0) std::memcpy(out, data_.data() + pos_, len);
   pos_ += len;
   return Status::OK();
 }

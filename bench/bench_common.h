@@ -1,11 +1,11 @@
 /// \file bench_common.h
 /// \brief Shared scaffolding for the paper-reproduction benchmarks.
 ///
-/// Every bench binary regenerates one table or figure of the paper's
+/// Each row of bench_paper regenerates one table or figure of the paper's
 /// evaluation (Section V) at CPU-bench scale and prints the paper's
 /// reference values next to the measured ones. Scale is controlled by
 /// FEDADMM_BENCH_SCALE:
-///   * "small" (default): minutes-total across all benches,
+///   * "small" (default): a few minutes for all of bench_paper,
 ///   * "large": bigger populations / more rounds, closer to the paper.
 /// Individual knobs can be overridden via FEDADMM_BENCH_ROUNDS,
 /// FEDADMM_BENCH_SEEDS.
@@ -111,7 +111,7 @@ inline double TaskTarget(TaskKind kind) {
 /// narrow CNN leaves that regime and all the dual-ascent methods degrade;
 /// a wide MLP restores it at tractable cost. Set FEDADMM_BENCH_MODEL=cnn
 /// to use the scaled two-conv CNN instead; the exact paper CNNs are
-/// validated by bench_table2_models.
+/// validated by `bench_paper table2`.
 inline ModelConfig BenchModel(TaskKind task) {
   const bool cnn = GetEnvString("FEDADMM_BENCH_MODEL", "mlp") == "cnn";
   const int channels = task == TaskKind::kCifarLike ? 3 : 1;

@@ -8,7 +8,7 @@
 ///   * CNN 2 — CIFAR-10 (3x32x32): conv 5x5 3->32 (pad 2), pool,
 ///     conv 5x5 32->64 (pad 2), pool, FC 4096->256, FC 256->10.
 ///     Exactly 1,105,098 parameters.
-/// Both counts are asserted by tests and reported by bench_table2_models.
+/// Both counts are asserted by tests and reported by `bench_paper table2`.
 ///
 /// `MakeBenchCnn` builds the same two-conv architecture at reduced width and
 /// resolution so that the paper's sweeps run in CPU-bench time; `MakeMlp` and

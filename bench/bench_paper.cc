@@ -109,8 +109,10 @@ std::string FormatCensored(int rounds, int budget) {
 }
 
 /// FedADMM's reduction in rounds over the best baseline (the paper's
-/// metric), e.g. "+47%".
-std::string FormatReduction(double admm, double best_baseline) {
+/// metric), e.g. "+47%"; "n/a" when both missed the target, since censored
+/// counts carry no ratio.
+std::string FormatReduction(double admm, double best_baseline, int budget) {
+  if (admm > budget && best_baseline > budget) return "n/a";
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%+.0f%%",
                 (1.0 - admm / best_baseline) * 100.0);
@@ -401,7 +403,8 @@ void Table3() {
       }
       const double best_baseline =
           std::min({mean[0], mean[2], mean[3], mean[4]});
-      std::printf(" %s\n", FormatReduction(mean[1], best_baseline).c_str());
+      std::printf(" %s\n",
+                  FormatReduction(mean[1], best_baseline, budget).c_str());
     }
   }
 
@@ -601,7 +604,8 @@ void Fig4() {
         std::printf(" %-9s", FormatCensored(rounds.back(), budget).c_str());
       }
       const int best_baseline = std::min({rounds[1], rounds[2], rounds[3]});
-      std::printf(" %s\n", FormatReduction(rounds[0], best_baseline).c_str());
+      std::printf(" %s\n",
+                  FormatReduction(rounds[0], best_baseline, budget).c_str());
     }
   }
 

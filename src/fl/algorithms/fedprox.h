@@ -14,8 +14,8 @@ namespace fedadmm {
 ///
 /// Equivalent to FedADMM's local problem with y_i ≡ 0 (Section III-B). The
 /// paper highlights that FedProx's performance is sensitive to ρ, which
-/// Table V (`bench_paper table5`) reproduces. Variable local epochs are enabled by
-/// default (FedProx tolerates variable work, like FedADMM).
+/// Table V (`bench_paper table5`) reproduces. Variable local epochs are
+/// enabled by default (FedProx tolerates variable work, like FedADMM).
 ///
 /// Async / buffered modes use the inherited `AggregateOne` default
 /// (singleton-batch `ServerUpdate`); the proximal anchor makes stale

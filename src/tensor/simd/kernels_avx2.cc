@@ -384,7 +384,7 @@ void ProxSgdStep(const float* grad, const float* offset,
 
 void QuantizeUniform(const float* v, size_t n, float scale, int levels,
                      uint16_t* codes) {
-  if (n == 0) return;  // memset/memcpy forbid null even at length 0
+  if (n == 0) return;  // memset forbids null even at length 0
   if (!(scale > 0.0f)) {
     std::memset(codes, 0, n * sizeof(uint16_t));
     return;
@@ -423,7 +423,7 @@ void QuantizeUniform(const float* v, size_t n, float scale, int levels,
 
 void DequantizeGrid(const uint16_t* codes, size_t n, float scale, int levels,
                     float* out) {
-  if (n == 0) return;  // memset/memcpy forbid null even at length 0
+  if (n == 0) return;  // memset forbids null even at length 0
   if (scale == 0.0f) {
     std::memset(out, 0, n * sizeof(float));
     return;
@@ -449,7 +449,7 @@ void DequantizeGrid(const uint16_t* codes, size_t n, float scale, int levels,
 }
 
 void PackCodes(const uint16_t* codes, size_t n, int bits, uint8_t* out) {
-  if (n == 0) return;  // memset/memcpy forbid null even at length 0
+  if (n == 0) return;  // memcpy forbids null even at length 0
   if (bits == 16) {
     std::memcpy(out, codes, n * sizeof(uint16_t));
     return;
@@ -474,7 +474,7 @@ void PackCodes(const uint16_t* codes, size_t n, int bits, uint8_t* out) {
 }
 
 void UnpackCodes(const uint8_t* bytes, size_t n, int bits, uint16_t* codes) {
-  if (n == 0) return;  // memset/memcpy forbid null even at length 0
+  if (n == 0) return;  // memcpy forbids null even at length 0
   if (bits == 16) {
     std::memcpy(codes, bytes, n * sizeof(uint16_t));
     return;

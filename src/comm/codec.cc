@@ -6,6 +6,7 @@
 #include "comm/identity.h"
 #include "comm/quantize.h"
 #include "comm/topk.h"
+#include "comm/wire.h"
 
 namespace fedadmm {
 namespace {
@@ -25,6 +26,21 @@ int ParseIntSuffix(const std::string& spec, const std::string& prefix) {
 }
 
 }  // namespace
+
+std::vector<float> UpdateCodec::DecodeOrDie(const Payload& payload,
+                                            int64_t dim) const {
+  Result<std::vector<float>> decoded =
+      TryDecode(payload.bytes.data(), payload.bytes.size(), dim);
+  FEDADMM_CHECK_MSG(decoded.ok(), decoded.status().message());
+  return std::move(decoded).ValueOrDie();
+}
+
+int64_t UpdateCodec::LeadingDim(const Payload& payload) {
+  uint64_t dim = 0;
+  wire::ReaderView reader(payload.bytes.data(), payload.bytes.size());
+  if (!reader.TryU64(&dim).ok()) return 0;
+  return static_cast<int64_t>(dim);
+}
 
 Result<std::unique_ptr<UpdateCodec>> MakeUpdateCodec(const std::string& spec) {
   if (spec == "identity") {

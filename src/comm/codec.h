@@ -10,6 +10,10 @@
 ///   * `Encode`   — vector in R^d to a self-describing byte payload;
 ///   * `Decode`   — payload back to R^d (`Decode(Encode(v)).size() ==
 ///                  v.size()` always; values within the codec's bound);
+///   * `TryDecode` — the same inverse for untrusted bytes, returning
+///                  Status instead of aborting. Each concrete codec has
+///                  exactly one parser: its `Decode` is `TryDecode` at the
+///                  dimension the payload states, plus a CHECK;
 ///   * `WireBytes(dim)` — the exact serialized size for a d-vector, used by
 ///                  the accounting paths without materializing a payload.
 ///
@@ -62,14 +66,16 @@ class UpdateCodec {
 
   /// Reconstructs a vector from `payload`. Pure function of the bytes.
   /// CHECK-aborts on malformed bytes — only for payloads produced
-  /// in-process; boundary bytes go through `TryDecode`.
+  /// in-process; boundary bytes go through `TryDecode`. The built-in
+  /// codecs implement it as `DecodeOrDie` at the payload's own dimension.
   virtual std::vector<float> Decode(const Payload& payload) const = 0;
 
   /// Status-returning decode for bytes that crossed a process/network
   /// boundary (src/serve): validates the structure against `expected_dim`
-  /// before allocating and never aborts. On success the result is bitwise
-  /// identical to `Decode` of the same bytes. Thread-safe (const). The
-  /// default rejects — codecs opt in.
+  /// before allocating and never aborts. The built-in codecs' only
+  /// parser, so on success the result is bitwise identical to `Decode` of
+  /// the same bytes by construction. Thread-safe (const). The default
+  /// rejects — codecs opt in.
   virtual Result<std::vector<float>> TryDecode(const uint8_t* data,
                                                size_t len,
                                                int64_t expected_dim) const {
@@ -93,6 +99,16 @@ class UpdateCodec {
   /// Stateful uplink codecs are rejected by the serving frontend: the
   /// client-side and server-side residual histories could diverge.
   virtual bool stateful() const { return false; }
+
+ protected:
+  /// The body of a `Decode` that shares its codec's one parser:
+  /// `TryDecode` at `dim`, CHECK-failing with the returned message.
+  std::vector<float> DecodeOrDie(const Payload& payload, int64_t dim) const;
+
+  /// The u64 dimension header the q/sq/topk formats lead with; 0 when the
+  /// payload is too short to hold one (`TryDecode` then reports the
+  /// truncation).
+  static int64_t LeadingDim(const Payload& payload);
 };
 
 /// Stream id the simulator uses when the server encodes the θ broadcast.

@@ -16,13 +16,8 @@ Payload IdentityCodec::Encode(int64_t stream, const std::vector<float>& v,
 }
 
 std::vector<float> IdentityCodec::Decode(const Payload& payload) const {
-  FEDADMM_CHECK_MSG(payload.bytes.size() % sizeof(float) == 0,
-                    "IdentityCodec: payload not a multiple of 4 bytes");
   const size_t dim = payload.bytes.size() / sizeof(float);
-  std::vector<float> v(dim);
-  wire::Reader reader(payload.bytes);
-  for (size_t i = 0; i < dim; ++i) v[i] = reader.GetF32();
-  return v;
+  return DecodeOrDie(payload, static_cast<int64_t>(dim));
 }
 
 Result<std::vector<float>> IdentityCodec::TryDecode(

@@ -85,27 +85,7 @@ Payload ChunkedQuantCodec::EncodeImpl(const std::vector<float>& v, Rng* rng) {
 }
 
 std::vector<float> ChunkedQuantCodec::Decode(const Payload& payload) const {
-  wire::Reader reader(payload.bytes);
-  const uint64_t dim = reader.GetU64();
-  std::vector<float> v(dim);
-  const size_t chunk = static_cast<size_t>(chunk_);
-  // Decoding is the deterministic grid inverse for every subclass (the
-  // rounding rule only affects encoding), so the batch kernels always
-  // apply: unpack a whole chunk, then map codes to grid points.
-  const simd::KernelTable& kern = simd::ActiveKernels();
-  std::vector<uint16_t> codes(std::min(chunk, static_cast<size_t>(dim)));
-  for (size_t begin = 0; begin < dim; begin += chunk) {
-    const size_t end = std::min(begin + chunk, static_cast<size_t>(dim));
-    const float scale = reader.GetF32();
-    const size_t len = end - begin;
-    const uint8_t* bytes = reader.Skip(static_cast<size_t>(
-        wire::BitPacker::PackedBytes(static_cast<int64_t>(len), bits_)));
-    kern.unpack_codes(bytes, len, bits_, codes.data());
-    kern.dequantize_grid(codes.data(), len, scale, levels_, v.data() + begin);
-  }
-  FEDADMM_CHECK_MSG(reader.remaining() == 0,
-                    "ChunkedQuantCodec: trailing payload bytes");
-  return v;
+  return DecodeOrDie(payload, LeadingDim(payload));
 }
 
 Result<std::vector<float>> ChunkedQuantCodec::TryDecode(
@@ -125,6 +105,9 @@ Result<std::vector<float>> ChunkedQuantCodec::TryDecode(
   }
   std::vector<float> v(static_cast<size_t>(dim));
   const size_t chunk = static_cast<size_t>(chunk_);
+  // Decoding is the deterministic grid inverse for every subclass (the
+  // rounding rule only affects encoding), so the batch kernels always
+  // apply: unpack a whole chunk, then map codes to grid points.
   const simd::KernelTable& kern = simd::ActiveKernels();
   std::vector<uint16_t> codes(std::min(chunk, v.size()));
   for (size_t begin = 0; begin < v.size(); begin += chunk) {

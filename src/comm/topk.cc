@@ -61,20 +61,7 @@ Payload TopKCodec::Encode(int64_t stream, const std::vector<float>& v,
 }
 
 std::vector<float> TopKCodec::Decode(const Payload& payload) const {
-  wire::Reader reader(payload.bytes);
-  const uint64_t dim = reader.GetU64();
-  const uint64_t k = reader.GetU64();
-  FEDADMM_CHECK_MSG(k <= dim, "TopKCodec: k > dim in payload");
-  std::vector<uint32_t> indices(k);
-  for (uint64_t i = 0; i < k; ++i) indices[i] = reader.GetU32();
-  std::vector<float> v(dim, 0.0f);
-  for (uint64_t i = 0; i < k; ++i) {
-    FEDADMM_CHECK_MSG(indices[i] < dim, "TopKCodec: index out of range");
-    v[indices[i]] = reader.GetF32();
-  }
-  FEDADMM_CHECK_MSG(reader.remaining() == 0,
-                    "TopKCodec: trailing payload bytes");
-  return v;
+  return DecodeOrDie(payload, LeadingDim(payload));
 }
 
 Result<std::vector<float>> TopKCodec::TryDecode(const uint8_t* data,

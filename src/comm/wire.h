@@ -3,14 +3,12 @@
 ///
 /// Every codec serializes to little-endian bytes through these helpers so
 /// `WireBytes()` accounting is exact by construction and payloads are
-/// portable across hosts of the same endianness class. Two reader tiers:
-///
-///   * `Reader` bounds-checks every access and aborts via FEDADMM_CHECK —
-///     for payloads produced in-process, where truncation is a programmer
-///     error.
-///   * `ReaderView` returns Status instead — the only legal parser for
-///     bytes that crossed a process/network boundary (src/serve), where a
-///     malformed frame is an input, not a bug, and must never abort.
+/// portable across hosts of the same endianness class. There is one
+/// reader, `ReaderView`, which reports truncation as a Status: bytes that
+/// crossed a process/network boundary (src/serve) are inputs, not bugs,
+/// and must never abort. In-process payloads go through the same reader —
+/// a codec's aborting `Decode` is its `TryDecode` plus a CHECK
+/// (comm/codec.h).
 ///
 /// On little-endian hosts the fixed-width paths are single memcpys (the
 /// per-byte shift loops remain as the big-endian fallback and the byte
@@ -100,75 +98,11 @@ class Writer {
   std::vector<uint8_t>* out_;
 };
 
-/// \brief Reads fixed-width little-endian values from a byte buffer.
-class Reader {
- public:
-  explicit Reader(const std::vector<uint8_t>& bytes) : bytes_(bytes) {}
-
-  uint8_t GetU8() {
-    FEDADMM_CHECK_MSG(pos_ + 1 <= bytes_.size(), "wire: truncated payload");
-    return bytes_[pos_++];
-  }
-
-  uint32_t GetU32() {
-    FEDADMM_CHECK_MSG(pos_ + 4 <= bytes_.size(), "wire: truncated payload");
-    uint32_t v = 0;
-    if constexpr (kHostIsLittleEndian) {
-      std::memcpy(&v, bytes_.data() + pos_, sizeof(v));
-    } else {
-      for (int i = 0; i < 4; ++i) {
-        v |= static_cast<uint32_t>(bytes_[pos_ + static_cast<size_t>(i)])
-             << (8 * i);
-      }
-    }
-    pos_ += 4;
-    return v;
-  }
-
-  uint64_t GetU64() {
-    FEDADMM_CHECK_MSG(pos_ + 8 <= bytes_.size(), "wire: truncated payload");
-    uint64_t v = 0;
-    if constexpr (kHostIsLittleEndian) {
-      std::memcpy(&v, bytes_.data() + pos_, sizeof(v));
-    } else {
-      for (int i = 0; i < 8; ++i) {
-        v |= static_cast<uint64_t>(bytes_[pos_ + static_cast<size_t>(i)])
-             << (8 * i);
-      }
-    }
-    pos_ += 8;
-    return v;
-  }
-
-  float GetF32() {
-    const uint32_t bits = GetU32();
-    float v = 0.0f;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-
-  /// Consumes `n` bytes at once and returns a pointer to them, for block
-  /// readers (e.g. SIMD bit unpacking) that parse whole regions directly.
-  const uint8_t* Skip(size_t n) {
-    FEDADMM_CHECK_MSG(pos_ + n <= bytes_.size(), "wire: truncated payload");
-    const uint8_t* p = bytes_.data() + pos_;
-    pos_ += n;
-    return p;
-  }
-
-  /// Bytes not yet consumed.
-  size_t remaining() const { return bytes_.size() - pos_; }
-
- private:
-  const std::vector<uint8_t>& bytes_;
-  size_t pos_ = 0;
-};
-
 /// \brief Status-returning little-endian parser over a borrowed byte span.
 ///
-/// The boundary twin of `Reader`: every accessor reports truncation as
-/// `Status::InvalidArgument` instead of aborting, so network-supplied bytes
-/// can be parsed without trusting them. Out-parameters (rather than
+/// Every accessor reports truncation as `Status::InvalidArgument` instead
+/// of aborting, so network-supplied bytes can be parsed without trusting
+/// them. Out-parameters (rather than
 /// `Result<T>`) keep the hot ingest path allocation-free.
 class ReaderView {
  public:
@@ -238,8 +172,8 @@ class ReaderView {
   }
 
   /// Consumes `n` bytes at once, pointing `*out` at them (valid while the
-  /// underlying span lives) — the Status twin of `Reader::Skip` for block
-  /// parsers (SIMD bit unpacking, payload views).
+  /// underlying span lives), for block parsers (SIMD bit unpacking,
+  /// payload views).
   Status TrySkip(size_t n, const uint8_t** out) {
     if (n > len_ - pos_) return Truncated();
     *out = data_ + pos_;
@@ -296,32 +230,6 @@ class BitPacker {
 
  private:
   Writer* out_;
-  int bits_;
-  uint64_t acc_ = 0;
-  int filled_ = 0;
-};
-
-/// \brief Unpacks codes written by `BitPacker`.
-class BitUnpacker {
- public:
-  BitUnpacker(Reader* reader, int bits) : reader_(reader), bits_(bits) {
-    FEDADMM_CHECK_MSG(bits >= 1 && bits <= 16, "BitUnpacker: bits in [1,16]");
-  }
-
-  uint32_t Get() {
-    while (filled_ < bits_) {
-      acc_ |= static_cast<uint64_t>(reader_->GetU8()) << filled_;
-      filled_ += 8;
-    }
-    const uint32_t mask = (1u << bits_) - 1u;
-    const uint32_t code = static_cast<uint32_t>(acc_) & mask;
-    acc_ >>= bits_;
-    filled_ -= bits_;
-    return code;
-  }
-
- private:
-  Reader* reader_;
   int bits_;
   uint64_t acc_ = 0;
   int filled_ = 0;

@@ -3,8 +3,8 @@
 ///
 /// Three contracts, fuzzed across bit widths 1..16 and both dispatch
 /// modes:
-///  * the batch `pack_codes`/`unpack_codes` kernels are byte-identical to
-///    `wire::BitPacker`/`wire::BitUnpacker` round trips;
+///  * the batch `pack_codes` kernel is byte-identical to `wire::BitPacker`,
+///    and `unpack_codes` inverts it;
 ///  * `UniformQuantCodec::Encode` emits identical payload bytes under
 ///    forced-scalar and AVX2 dispatch (and decodes bitwise identically);
 ///  * `StochasticQuantCodec` (sequential Rng path) still round-trips and

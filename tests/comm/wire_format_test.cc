@@ -132,6 +132,21 @@ TEST(CodecFactoryTest, RejectsMalformedSpecs) {
   }
 }
 
+// Decode is TryDecode at the payload's stated dimension plus a CHECK, so
+// malformed in-process bytes abort with the boundary parser's message.
+TEST(CodecDecodeDeathTest, MalformedPayloadAbortsWithTryDecodeMessage) {
+  Payload odd;
+  odd.bytes = {1, 2, 3};
+  EXPECT_DEATH(IdentityCodec().Decode(odd), "IdentityCodec: payload is 3");
+  UniformQuantCodec q8(8);
+  Payload padded = q8.Encode(0, {1.0f, -2.0f, 0.5f}, nullptr);
+  padded.bytes.push_back(0);
+  EXPECT_DEATH(q8.Decode(padded), "ChunkedQuantCodec: payload is");
+  Payload no_header;
+  no_header.bytes = {1, 2};
+  EXPECT_DEATH(TopKCodec(0.5).Decode(no_header), "wire: truncated payload");
+}
+
 TEST(CodecFactoryTest, Fp16IsAnAliasOfQ16) {
   auto fp16 = MakeUpdateCodec("fp16");
   auto q16 = MakeUpdateCodec("q16");

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <utility>
 
-#include "obs/json.h"
+#include "fl/history_csv.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "state/checkpoint.h"
@@ -85,64 +86,29 @@ EngineMetrics& Metrics() {
 }
 
 // Engine-blob layout version, written first: an older layout (which led
-// with a sync/event tag of 1 or 2) is rejected instead of misparsed.
-constexpr uint8_t kEngineBlobVersion = 3;
+// with a sync/event tag of 1 or 2, or carried binary round records) is
+// rejected instead of misparsed.
+constexpr uint8_t kEngineBlobVersion = 4;
 
-void WriteRoundRecord(const RoundRecord& r, ByteWriter* w) {
-  w->U32(static_cast<uint32_t>(r.round));
-  w->U32(static_cast<uint32_t>(r.num_selected));
-  w->F64(r.train_loss);
-  w->F64(r.test_accuracy);
-  w->F64(r.test_loss);
-  w->I64(r.upload_bytes);
-  w->I64(r.download_bytes);
-  w->I64(r.upload_bytes_raw);
-  w->I64(r.download_bytes_raw);
-  w->F64(r.wall_seconds);
-  w->F64(r.sim_seconds);
-  w->U32(static_cast<uint32_t>(r.num_dropped));
-  w->U32(static_cast<uint32_t>(r.num_admitted_partial));
-  w->F64(r.staleness_mean);
-  w->U32(static_cast<uint32_t>(r.staleness_max));
-  w->I64(r.state_bytes_resident);
-}
-
-Result<RoundRecord> ReadRoundRecord(ByteReader* reader) {
-  RoundRecord r;
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t round, reader->U32());
-  r.round = static_cast<int>(round);
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t num_selected, reader->U32());
-  r.num_selected = static_cast<int>(num_selected);
-  FEDADMM_ASSIGN_OR_RETURN(r.train_loss, reader->F64());
-  FEDADMM_ASSIGN_OR_RETURN(r.test_accuracy, reader->F64());
-  FEDADMM_ASSIGN_OR_RETURN(r.test_loss, reader->F64());
-  FEDADMM_ASSIGN_OR_RETURN(r.upload_bytes, reader->I64());
-  FEDADMM_ASSIGN_OR_RETURN(r.download_bytes, reader->I64());
-  FEDADMM_ASSIGN_OR_RETURN(r.upload_bytes_raw, reader->I64());
-  FEDADMM_ASSIGN_OR_RETURN(r.download_bytes_raw, reader->I64());
-  FEDADMM_ASSIGN_OR_RETURN(r.wall_seconds, reader->F64());
-  FEDADMM_ASSIGN_OR_RETURN(r.sim_seconds, reader->F64());
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t num_dropped, reader->U32());
-  r.num_dropped = static_cast<int>(num_dropped);
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t num_partial, reader->U32());
-  r.num_admitted_partial = static_cast<int>(num_partial);
-  FEDADMM_ASSIGN_OR_RETURN(r.staleness_mean, reader->F64());
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t staleness_max, reader->U32());
-  r.staleness_max = static_cast<int>(staleness_max);
-  FEDADMM_ASSIGN_OR_RETURN(r.state_bytes_resident, reader->I64());
-  return {std::move(r)};
-}
-
+// The history rides in the blob as its canonical CSV fields
+// (fl/history_csv.h): `%.17g` doubles round-trip bitwise, NaN sentinels
+// included, so one serializer spells out the record's fields.
 void WriteHistoryBlob(const History& history, ByteWriter* w) {
   w->U32(static_cast<uint32_t>(history.size()));
-  for (const RoundRecord& r : history.records()) WriteRoundRecord(r, w);
+  for (const RoundRecord& r : history.records()) {
+    for (const std::string& field : RoundCsvRow(r)) w->String(field);
+  }
 }
 
 Result<History> ReadHistoryBlob(ByteReader* reader) {
   History history;
   FEDADMM_ASSIGN_OR_RETURN(uint32_t count, reader->U32());
+  std::vector<std::string> fields(RoundCsvColumns().size());
   for (uint32_t i = 0; i < count; ++i) {
-    FEDADMM_ASSIGN_OR_RETURN(RoundRecord record, ReadRoundRecord(reader));
+    for (std::string& field : fields) {
+      FEDADMM_ASSIGN_OR_RETURN(field, reader->String());
+    }
+    FEDADMM_ASSIGN_OR_RETURN(RoundRecord record, RoundFromCsvRow(fields));
     history.Add(record);
   }
   return {std::move(history)};
@@ -174,8 +140,7 @@ ServerLoop::ServerLoop(FederatedProblem* problem,
       pipeline_(uplink_codec, downlink_codec, master_),
       executor_(problem, algorithm, master_, config.num_threads,
                 config.num_shards),
-      theta_(*theta),
-      queue_(config.num_shards) {}
+      theta_(*theta) {}
 
 ServerLoop::~ServerLoop() { algorithm_->DetachReducePool(); }
 
@@ -222,7 +187,6 @@ bool ServerLoop::FinalizeRecord(RoundRecord record, Stopwatch* watch,
     m.clients_admitted_partial->Add(record.num_admitted_partial);
     m.state_bytes_resident->Set(record.state_bytes_resident);
   }
-  if (round_trace_.is_open()) WriteRoundTrace(record);
   if (observer_ && *observer_) (*observer_)(record);
   if (config_.log_rounds && evaluate) {
     if (config_.mode == ExecutionMode::kSync) {
@@ -239,38 +203,6 @@ bool ServerLoop::FinalizeRecord(RoundRecord record, Stopwatch* watch,
   }
   return evaluate && config_.target_accuracy > 0.0 &&
          record.test_accuracy >= config_.target_accuracy;
-}
-
-void ServerLoop::WriteRoundTrace(const RoundRecord& record) {
-  obs::JsonWriter w;
-  w.BeginObject();
-  w.Key("round").Int(record.round);
-  w.Key("num_selected").Int(record.num_selected);
-  w.Key("num_dropped").Int(record.num_dropped);
-  w.Key("num_admitted_partial").Int(record.num_admitted_partial);
-  w.Key("train_loss").Double(record.train_loss);
-  w.Key("test_accuracy").Double(record.test_accuracy);
-  w.Key("test_loss").Double(record.test_loss);
-  w.Key("sim_seconds").Double(record.sim_seconds);
-  w.Key("upload_bytes").Int(record.upload_bytes);
-  w.Key("download_bytes").Int(record.download_bytes);
-  w.Key("upload_bytes_raw").Int(record.upload_bytes_raw);
-  w.Key("download_bytes_raw").Int(record.download_bytes_raw);
-  w.Key("staleness_mean").Double(record.staleness_mean);
-  w.Key("staleness_max").Int(record.staleness_max);
-  w.Key("state_bytes_resident").Int(record.state_bytes_resident);
-  // The only host-dependent field; zeroed in deterministic-only mode so
-  // same-seed traces diff byte-identical (mirrors the history CSV).
-  w.Key("wall_seconds")
-      .Double(round_trace_.deterministic_only() ? 0.0 : record.wall_seconds);
-  w.EndObject();
-  const Status status = round_trace_.Append(w.str());
-  if (!status.ok()) {
-    // A broken trace sink must not abort training; warn once and stop
-    // writing.
-    FEDADMM_LOG(Warning) << "round trace disabled: " << status.message();
-    (void)round_trace_.Close();
-  }
 }
 
 Result<std::unique_ptr<SlabLog>> ServerLoop::OpenCheckpointLog() {
@@ -307,10 +239,8 @@ Status ServerLoop::Checkpoint(SlabLog* log, const History& history) {
     SerializeClientCompletionEvent(event, &writer);
   }
   writer.U32(static_cast<uint32_t>(queue_.size()));
-  for (int s = 0; s < queue_.num_shards(); ++s) {
-    for (const ClientCompletionEvent& event : queue_.shard(s).events()) {
-      SerializeClientCompletionEvent(event, &writer);
-    }
+  for (const ClientCompletionEvent& event : queue_.events()) {
+    SerializeClientCompletionEvent(event, &writer);
   }
   // The barrier draws its next cohort before this point (the prefetch),
   // so the serialized RNG has already moved past it; the cohort itself
@@ -473,13 +403,7 @@ Result<History> ServerLoop::Run() {
     // mean).
     FEDADMM_RETURN_IF_ERROR(algorithm_->ValidateForEventMode());
   }
-  if (!config_.round_trace_path.empty()) {
-    FEDADMM_RETURN_IF_ERROR(round_trace_.Open(
-        config_.round_trace_path, config_.round_trace_deterministic_only));
-  }
-  Result<History> history = RunLoop();
-  FEDADMM_RETURN_IF_ERROR(round_trace_.Close());
-  return history;
+  return RunLoop();
 }
 
 Result<History> ServerLoop::RunLoop() {

@@ -19,13 +19,12 @@
 ///     serve mode — collects the wave from the ingest source. Arrival
 ///     order is irrelevant at a barrier, so its members never pass
 ///     through the event heap.
-///   * **buffered / async**: events pop from a `sys/ShardedEventQueue` —
-///     one heap per aggregation worker (`SimulationConfig::num_shards`),
-///     merged on (time, sequence), which pops identically to a single
-///     global heap at every W. Async aggregates every admitted arrival via
-///     `FederatedAlgorithm::AggregateOne`; buffered collects `buffer_size`
-///     admitted arrivals, discounts them by the staleness weight and
-///     applies one batched `ServerUpdate`. Each freed slot is refilled
+///   * **buffered / async**: events pop from one `sys/EventQueue` heap in
+///     (time, sequence) order at every aggregation worker count
+///     `SimulationConfig::num_shards`. Async aggregates every admitted
+///     arrival via `FederatedAlgorithm::AggregateOne`; buffered collects
+///     `buffer_size` admitted arrivals, discounts them by the staleness
+///     weight and applies one batched `ServerUpdate`. Each freed slot is refilled
 ///     with a one-client wave against the current θ. A full wave of
 ///     consecutive drops with nothing to aggregate emits an all-dropped
 ///     record (NaN train_loss), so a starved deadline still terminates
@@ -49,7 +48,6 @@
 #include "fl/client_executor.h"
 #include "fl/comm_pipeline.h"
 #include "fl/simulation.h"
-#include "obs/trace.h"
 #include "sys/event_queue.h"
 #include "util/stopwatch.h"
 
@@ -95,11 +93,6 @@ class ServerLoop {
   bool FinalizeRecord(RoundRecord record, Stopwatch* watch,
                       History* history);
 
-  /// Appends one JSONL object for `record` to the opt-in round trace
-  /// (no-op when `SimulationConfig::round_trace_path` is empty). Wall
-  /// fields are zeroed in deterministic-only mode.
-  void WriteRoundTrace(const RoundRecord& record);
-
   /// Dispatches a fresh cohort when nothing is in flight: the pre-drawn
   /// next cohort at the barrier, the selector's draw otherwise. Every
   /// barrier round starts here; the event modes only at a fresh start.
@@ -109,7 +102,7 @@ class ServerLoop {
   /// downlink encode + billing, the client phase (parallel execution, or
   /// ingest collection in serve mode), uplink size prediction, and one
   /// judged completion event per client — appended to the aggregation
-  /// buffer in selection order at the barrier, or pushed onto its shard's
+  /// buffer in selection order at the barrier, or pushed onto the event
   /// heap.
   Status DispatchWave(const std::vector<int>& clients, int wave);
 
@@ -157,11 +150,8 @@ class ServerLoop {
   /// Borrowed live model buffer (owned by Simulation).
   std::vector<float>& theta_;
 
-  /// Opt-in per-round JSONL trace (closed/no-op unless configured).
-  obs::RoundTraceWriter round_trace_;
-
   // Loop state between iterations; the checkpoint blob carries all of it.
-  ShardedEventQueue queue_;
+  EventQueue queue_;
   /// Admitted events awaiting aggregation; at the barrier, also the wave
   /// in flight (always flushed before the loop top).
   std::vector<ClientCompletionEvent> buffer_;

@@ -94,9 +94,9 @@ struct SimulationConfig {
   std::string state_store;
   /// Aggregation-server worker count W (>= 1). Each worker owns the
   /// client-id partition `client % W` (util/shard.h): its slice of the
-  /// client-state store, its per-worker event heap, and its partial of the
-  /// hierarchical server reduce (vec::AxpyManySharded), combined in fixed
-  /// shard order. Every W is deterministic across thread counts; W = 1 is
+  /// client-state store and its partial of the hierarchical server reduce
+  /// (vec::AxpyManySharded), combined in fixed shard order. The event
+  /// modes keep one event heap at every W. Every W is deterministic across thread counts; W = 1 is
   /// bitwise identical to the pre-shard engine, and different W agree up
   /// to float-summation regrouping (see bench_shard_scale). An explicit
   /// `sharded:` state_store spec overrides this knob's store partition.
@@ -118,15 +118,6 @@ struct SimulationConfig {
   /// missing file or a file without one committed group starts fresh
   /// (round 0) — the crash-before-first-checkpoint semantic.
   bool restore_from_checkpoint = false;
-  /// When non-empty, append one JSON object per RoundRecord to this file
-  /// (JSONL): the obs round trace. Purely additive — the training
-  /// trajectory is bitwise identical with or without it.
-  std::string round_trace_path;
-  /// Zero the wall-clock fields in the round trace so two runs of the same
-  /// seed produce byte-identical trace files (mirrors the history CSV's
-  /// deterministic mode). Simulated-time fields are kept: they ARE
-  /// deterministic.
-  bool round_trace_deterministic_only = false;
 };
 
 /// \brief Optional per-round observer (round index, record) — benches use it

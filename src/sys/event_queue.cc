@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "util/file_io.h"
-#include "util/shard.h"
 #include "util/status.h"
 
 namespace fedadmm {
@@ -113,39 +112,6 @@ ClientCompletionEvent EventQueue::Pop() {
 const ClientCompletionEvent& EventQueue::Peek() const {
   FEDADMM_CHECK_MSG(!heap_.empty(), "EventQueue: Peek on empty queue");
   return heap_.front();
-}
-
-ShardedEventQueue::ShardedEventQueue(int num_shards)
-    : shards_(static_cast<size_t>(std::max(1, num_shards))) {}
-
-void ShardedEventQueue::Push(ClientCompletionEvent event) {
-  const int shard = ShardOfClient(event.client_id, num_shards());
-  shards_[static_cast<size_t>(shard)].Push(std::move(event));
-  ++size_;
-}
-
-int ShardedEventQueue::EarliestShard() const {
-  int best = -1;
-  for (int s = 0; s < num_shards(); ++s) {
-    if (shards_[static_cast<size_t>(s)].empty()) continue;
-    if (best < 0 || Later(shards_[static_cast<size_t>(best)].Peek(),
-                          shards_[static_cast<size_t>(s)].Peek())) {
-      best = s;
-    }
-  }
-  FEDADMM_CHECK_MSG(best >= 0, "ShardedEventQueue: empty queue");
-  return best;
-}
-
-ClientCompletionEvent ShardedEventQueue::Pop() {
-  ClientCompletionEvent event =
-      shards_[static_cast<size_t>(EarliestShard())].Pop();
-  --size_;
-  return event;
-}
-
-const ClientCompletionEvent& ShardedEventQueue::Peek() const {
-  return shards_[static_cast<size_t>(EarliestShard())].Peek();
 }
 
 }  // namespace fedadmm

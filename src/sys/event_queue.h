@@ -15,13 +15,9 @@
 /// Determinism: events are ordered by (time, sequence). `sequence` is the
 /// monotone dispatch counter, so ties between clients finishing at the same
 /// simulated instant resolve by dispatch order — never by host scheduling.
-///
-/// The sharded aggregation server keeps one heap per worker instead
-/// (`ShardedEventQueue`): pushes route by the canonical client partition
-/// (util/shard.h) and pops take the global (time, sequence) minimum across
-/// the shard heads. Because (time, sequence) is a total order — sequence is
-/// unique — the merged pop order is *identical* to a single global heap at
-/// every W, so swapping queue implementations never changes a trajectory.
+/// (time, sequence) is a total order, so the pop order is a function of
+/// the schedule alone; the sharded aggregation server keeps this one heap
+/// at every worker count.
 
 #ifndef FEDADMM_SYS_EVENT_QUEUE_H_
 #define FEDADMM_SYS_EVENT_QUEUE_H_
@@ -106,51 +102,6 @@ class EventQueue {
   // std::priority_queue hides the top element from moves; a plain vector
   // with push_heap/pop_heap keeps Pop() a move, not a copy.
   std::vector<ClientCompletionEvent> heap_;
-};
-
-/// \brief W per-worker event heaps merged on (time, sequence).
-///
-/// Each shard owns the arrivals of its client-id partition
-/// (`ShardOfClient`, util/shard.h). `Pop`/`Peek` select the earliest shard
-/// head by (time, sequence) — an O(W) scan, trivial next to the per-event
-/// aggregation work — which reproduces the exact pop order of one global
-/// heap. W = 1 *is* one global heap.
-class ShardedEventQueue {
- public:
-  /// `num_shards` is clamped to at least 1.
-  explicit ShardedEventQueue(int num_shards);
-
-  /// Inserts an event into the heap of the shard owning its client id.
-  void Push(ClientCompletionEvent event);
-
-  /// Removes and returns the globally earliest event. CHECK-fails when
-  /// empty.
-  ClientCompletionEvent Pop();
-
-  /// The globally earliest event without removing it. CHECK-fails when
-  /// empty.
-  const ClientCompletionEvent& Peek() const;
-
-  bool empty() const { return size_ == 0; }
-  int size() const { return size_; }
-
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-  /// Events currently queued on one shard (load-balance introspection).
-  int shard_size(int shard) const {
-    return shards_[static_cast<size_t>(shard)].size();
-  }
-  /// One shard's heap (checkpoint snapshots via `EventQueue::events`).
-  const EventQueue& shard(int shard) const {
-    return shards_[static_cast<size_t>(shard)];
-  }
-
- private:
-  /// Index of the shard holding the globally earliest head. CHECK-fails
-  /// when every shard is empty.
-  int EarliestShard() const;
-
-  std::vector<EventQueue> shards_;
-  int size_ = 0;
 };
 
 }  // namespace fedadmm

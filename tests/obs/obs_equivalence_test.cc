@@ -1,7 +1,6 @@
 // The zero-perturbation contract: the obs rail only *reads* clocks and
-// bumps counters, so enabling metrics, the trace recorder, and the
-// round-trace writer must leave the training trajectory bitwise identical
-// to a run with everything off. Mirrors the idiom of
+// bumps counters, so enabling metrics and the trace recorder must leave
+// the training trajectory bitwise identical to a run with everything off. Mirrors the idiom of
 // tests/fl/deterministic_replay_test.cc.
 
 #include <gtest/gtest.h>
@@ -118,61 +117,6 @@ TEST(ObsEquivalenceTest, TraceRecorderIsBitwiseInvisible) {
   std::remove(path.c_str());
   recorder.Start();
   recorder.Stop();  // leave the global recorder empty for other tests
-}
-
-TEST(ObsEquivalenceTest, RoundTraceIsBitwiseInvisibleAndParses) {
-  const std::vector<float> baseline = RunTheta(7, 3, 8);
-
-  const std::string path = testing::TempDir() + "/obs_equiv_rounds.jsonl";
-  SimulationConfig config;
-  config.round_trace_path = path;
-  const std::vector<float> traced = RunTheta(7, 3, 8, config);
-  EXPECT_EQ(baseline, traced);
-
-  std::ifstream in(path);
-  std::string line;
-  int rounds = 0;
-  while (std::getline(in, line)) {
-    auto doc = obs::ParseJson(line);
-    ASSERT_TRUE(doc.ok()) << line;
-    const obs::JsonValue& record = doc.ValueOrDie();
-    EXPECT_EQ(record.Find("round")->number, rounds);
-    ASSERT_NE(record.Find("num_selected"), nullptr);
-    ASSERT_NE(record.Find("upload_bytes"), nullptr);
-    ASSERT_NE(record.Find("wall_seconds"), nullptr);
-    ++rounds;
-  }
-  EXPECT_EQ(rounds, 8);
-  std::remove(path.c_str());
-}
-
-TEST(ObsEquivalenceTest, DeterministicOnlyTraceIsByteIdenticalAcrossRuns) {
-  const std::string path_a = testing::TempDir() + "/obs_equiv_det_a.jsonl";
-  const std::string path_b = testing::TempDir() + "/obs_equiv_det_b.jsonl";
-  SimulationConfig config;
-  config.round_trace_deterministic_only = true;
-
-  config.round_trace_path = path_a;
-  const std::vector<float> run_a = RunTheta(7, 3, 8, config);
-  config.round_trace_path = path_b;
-  const std::vector<float> run_b = RunTheta(7, 3, 8, config);
-  EXPECT_EQ(run_a, run_b);
-
-  const std::string trace_a = ReadAll(path_a);
-  ASSERT_FALSE(trace_a.empty());
-  EXPECT_EQ(trace_a, ReadAll(path_b))
-      << "deterministic_only traces must be byte-identical for one seed";
-
-  // Wall fields are zeroed, deterministic fields are not.
-  std::istringstream lines(trace_a);
-  std::string line;
-  while (std::getline(lines, line)) {
-    auto doc = obs::ParseJson(line);
-    ASSERT_TRUE(doc.ok());
-    EXPECT_EQ(doc.ValueOrDie().Find("wall_seconds")->number, 0.0);
-  }
-  std::remove(path_a.c_str());
-  std::remove(path_b.c_str());
 }
 
 TEST(ObsEquivalenceTest, ShardedRunFillsPerShardHistograms) {

@@ -22,9 +22,12 @@
 #include "core/fedadmm.h"
 #include "fl/algorithms/fedpd.h"
 #include "fl/algorithms/scaffold.h"
+#include "fl/history_csv.h"
 #include "fl/quadratic_problem.h"
 #include "fl/selection.h"
 #include "fl/simulation.h"
+#include "state/checkpoint.h"
+#include "state/slab_log.h"
 #include "sys/event_queue.h"
 #include "sys/system_model.h"
 #include "util/file_io.h"
@@ -84,7 +87,8 @@ struct RunOutput {
 // semantic — nothing survives in process memory).
 RunOutput RunSyncOnce(const std::string& algo_name, int max_rounds,
                       const std::string& checkpoint_path, bool restore,
-                      const std::string& state_store = "lazy") {
+                      const std::string& state_store = "lazy",
+                      int eval_every = 1) {
   QuadraticProblem problem(Spec());
   auto algo = MakeAlgo(algo_name);
   auto selector = MakeSelector(algo_name);
@@ -95,6 +99,7 @@ RunOutput RunSyncOnce(const std::string& algo_name, int max_rounds,
   config.state_store = state_store;
   config.checkpoint_path = checkpoint_path;
   config.restore_from_checkpoint = restore;
+  config.eval_every = eval_every;
   Simulation sim(&problem, algo.get(), selector.get(), config);
   RunOutput out;
   out.history = std::move(sim.Run()).ValueOrDie();
@@ -126,6 +131,19 @@ void ExpectIdenticalTrajectories(const RunOutput& a, const RunOutput& b) {
   }
 }
 
+// Every RoundCsvColumns() field but the host-dependent wall_seconds, in
+// its canonical text: bitwise for doubles, and NaN matches NaN.
+void ExpectSameRecords(const History& a, const History& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (int i = 0; i < a.size(); ++i) {
+    RoundRecord ra = a.records()[static_cast<size_t>(i)];
+    RoundRecord rb = b.records()[static_cast<size_t>(i)];
+    ra.wall_seconds = 0.0;
+    rb.wall_seconds = 0.0;
+    EXPECT_EQ(RoundCsvRow(ra), RoundCsvRow(rb)) << "record " << i;
+  }
+}
+
 class SyncResumeSweep : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SyncResumeSweep, RestartedRunReplaysUninterruptedBitwise) {
@@ -146,6 +164,63 @@ TEST_P(SyncResumeSweep, RestartedRunReplaysUninterruptedBitwise) {
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, SyncResumeSweep,
                          ::testing::Values("FedADMM", "FedPD", "SCAFFOLD"));
+
+TEST(CheckpointTest, ResumeRestoresEveryHistoryField) {
+  // eval_every = 3 leaves NaN test_accuracy/test_loss on most records, so
+  // the skipped-eval sentinels cross the checkpoint blob. Phase 1 stops
+  // after round 6, which is evaluated either way (6 % 3 == 0), so its
+  // final-round evaluation matches the uninterrupted run.
+  auto run = [](int rounds, const std::string& path, bool restore) {
+    return RunSyncOnce("FedADMM", rounds, path, restore, "lazy", 3);
+  };
+  const RunOutput reference = run(kRounds, "", false);
+  const std::string path = TempPath("ckpt_sync_eval3.slab");
+  RemoveFileIfExists(path);
+  run(7, path, false);
+  const RunOutput resumed = run(kRounds, path, true);
+  EXPECT_EQ(reference.theta, resumed.theta);
+  ASSERT_EQ(resumed.history.size(), kRounds);
+  EXPECT_TRUE(std::isnan(resumed.history.records()[4].test_accuracy));
+  EXPECT_TRUE(std::isnan(resumed.history.records()[5].test_loss));
+  ExpectSameRecords(reference.history, resumed.history);
+  RemoveFileIfExists(path);
+}
+
+TEST(CheckpointTest, OlderEngineBlobVersionIsRejected) {
+  const std::string path = TempPath("ckpt_blob_v3.slab");
+  RemoveFileIfExists(path);
+  RunSyncOnce("FedADMM", kHalf, path, false);
+  // Re-append the newest group with its blob relabelled as layout 3 (the
+  // binary round-record layout): it must be refused, not misparsed.
+  const SimulationCheckpoint checkpoint =
+      LoadLatestSimulationCheckpoint(path).ValueOrDie();
+  std::string blob = checkpoint.engine_blob;
+  ASSERT_FALSE(blob.empty());
+  blob[0] = 3;
+  {
+    auto log = SlabLog::Open(path, /*truncate=*/false).ValueOrDie();
+    const Status appended =
+        AppendSimulationCheckpoint(log.get(), kHalf, blob, nullptr);
+    ASSERT_TRUE(appended.ok());
+  }
+  QuadraticProblem problem(Spec());
+  auto algo = MakeAlgo("FedADMM");
+  auto selector = MakeSelector("FedADMM");
+  SimulationConfig config;
+  config.max_rounds = kRounds;
+  config.seed = 33;
+  config.state_store = "lazy";
+  config.checkpoint_path = path;
+  config.restore_from_checkpoint = true;
+  Simulation sim(&problem, algo.get(), selector.get(), config);
+  const auto result = sim.Run();
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument())
+      << result.status().message();
+  EXPECT_NE(result.status().message().find("engine-blob version 3"),
+            std::string::npos);
+  RemoveFileIfExists(path);
+}
 
 TEST(CheckpointTest, ResumeWorksOverTieredStore) {
   // The checkpoint's store slabs round-trip through the out-of-core

@@ -1,8 +1,7 @@
 // Property/fuzz coverage for the engine's event ordering: random
-// push/pop interleavings must always pop in strict (time, sequence)
-// order, equal times must break ties by dispatch sequence, and the
-// sharded per-worker heaps (ShardedEventQueue) must merge into exactly
-// the pop order of a single global heap at every shard count.
+// push/pop interleavings must pop every event exactly once, and a full
+// drain must come out in strict (time, sequence) order, equal times
+// breaking ties by dispatch sequence.
 
 #include "sys/event_queue.h"
 
@@ -104,86 +103,6 @@ TEST(EventQueuePropertyTest, FullDrainIsStrictlySortedWithSequenceTies) {
           << ") !< (" << popped[i].time << "," << popped[i].sequence << ")";
     }
   }
-}
-
-TEST(EventQueuePropertyTest, ShardedDrainMatchesGlobalHeapAtEveryW) {
-  Rng rng(0x5AADEDu);
-  const int shard_counts[] = {1, 2, 3, 4, 8};
-  for (int trial = 0; trial < 30; ++trial) {
-    Rng trial_rng = rng.Fork(static_cast<uint64_t>(trial));
-    const std::vector<ClientCompletionEvent> events =
-        RandomEvents(&trial_rng, /*n=*/150, /*num_clients=*/31);
-    // Reference: one global heap.
-    EventQueue global;
-    for (const ClientCompletionEvent& e : events) global.Push(e);
-    std::vector<ClientCompletionEvent> reference;
-    while (!global.empty()) reference.push_back(global.Pop());
-    for (int w : shard_counts) {
-      ShardedEventQueue sharded(w);
-      EXPECT_EQ(sharded.num_shards(), w);
-      for (const ClientCompletionEvent& e : events) sharded.Push(e);
-      EXPECT_EQ(sharded.size(), static_cast<int>(events.size()));
-      int shard_total = 0;
-      for (int s = 0; s < sharded.num_shards(); ++s) {
-        shard_total += sharded.shard_size(s);
-      }
-      EXPECT_EQ(shard_total, sharded.size());
-      for (size_t i = 0; i < reference.size(); ++i) {
-        ASSERT_FALSE(sharded.empty());
-        EXPECT_EQ(sharded.Peek().sequence, reference[i].sequence);
-        const ClientCompletionEvent e = sharded.Pop();
-        EXPECT_EQ(e.sequence, reference[i].sequence) << "W=" << w;
-        EXPECT_EQ(e.client_id, reference[i].client_id) << "W=" << w;
-        EXPECT_EQ(e.time, reference[i].time) << "W=" << w;
-      }
-      EXPECT_TRUE(sharded.empty());
-    }
-  }
-}
-
-TEST(EventQueuePropertyTest, ShardedInterleavedPushPopMatchesGlobal) {
-  // Same coin-flip interleaving run in lockstep against both queues: the
-  // two must agree pop-by-pop even when pushes arrive mid-drain.
-  Rng rng(0x1E4A7u);
-  const int shard_counts[] = {2, 4, 8};
-  for (int w : shard_counts) {
-    for (int trial = 0; trial < 20; ++trial) {
-      Rng trial_rng = rng.Fork(static_cast<uint64_t>(w),
-                               static_cast<uint64_t>(trial));
-      const std::vector<ClientCompletionEvent> events =
-          RandomEvents(&trial_rng, /*n=*/100, /*num_clients=*/13);
-      EventQueue global;
-      ShardedEventQueue sharded(w);
-      size_t pushed = 0;
-      while (pushed < events.size() || !global.empty()) {
-        const bool can_push = pushed < events.size();
-        const bool do_push =
-            can_push && (global.empty() || trial_rng.Bernoulli(0.5));
-        if (do_push) {
-          global.Push(events[pushed]);
-          sharded.Push(events[pushed]);
-          ++pushed;
-        } else {
-          const ClientCompletionEvent a = global.Pop();
-          const ClientCompletionEvent b = sharded.Pop();
-          ASSERT_EQ(a.sequence, b.sequence) << "W=" << w;
-          ASSERT_EQ(a.client_id, b.client_id) << "W=" << w;
-          ASSERT_EQ(a.time, b.time) << "W=" << w;
-        }
-        ASSERT_EQ(global.size(), sharded.size());
-      }
-      EXPECT_TRUE(sharded.empty());
-    }
-  }
-}
-
-TEST(EventQueuePropertyTest, ShardedClampsNonPositiveShardCounts) {
-  ShardedEventQueue zero(0);
-  EXPECT_EQ(zero.num_shards(), 1);
-  ShardedEventQueue negative(-3);
-  EXPECT_EQ(negative.num_shards(), 1);
-  zero.Push(Event(1.0, 0, 42));
-  EXPECT_EQ(zero.Pop().client_id, 42);
 }
 
 }  // namespace

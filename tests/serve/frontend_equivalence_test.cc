@@ -198,10 +198,11 @@ void ExpectIdenticalRuns(const RunResult& served, const RunResult& local) {
 TEST(FrontendEquivalenceTest, LoopbackFedAvgQuantizedWithStragglers) {
   // The full stack: q8 uplink + q8 downlink, deadline-drop admission
   // mirrored into ACKs, two aggregation shards.
-  RunSpec setup;
-  setup.uplink_spec = "q8";
-  setup.downlink_spec = "q8";
-  setup.system_model = true;
+  const RunSpec setup{
+      .uplink_spec = "q8",
+      .downlink_spec = "q8",
+      .system_model = true,
+  };
   const RunResult local = RunInProcess(setup);
   LoopbackTransport transport;
   const RunResult served = RunServed(setup, &transport);
@@ -249,10 +250,11 @@ TEST(FrontendEquivalenceTest, SocketTransportMatchesBitwise) {
 }
 
 TEST(FrontendEquivalenceTest, DoubleRunLedgerAndThetaAreDeterministic) {
-  RunSpec setup;
-  setup.uplink_spec = "q8";
-  setup.downlink_spec = "q8";
-  setup.system_model = true;
+  const RunSpec setup{
+      .uplink_spec = "q8",
+      .downlink_spec = "q8",
+      .system_model = true,
+  };
   LoopbackTransport t1;
   const RunResult a = RunServed(setup, &t1);
   LoopbackTransport t2;

@@ -45,7 +45,7 @@ TEST(StateStoreFactoryTest, ParsesKnownSpecsAndRoundTripsNames) {
 }
 
 TEST(StateStoreFactoryTest, RejectsUnknownSpecs) {
-  for (const std::string& bad :
+  for (const char* bad :
        {"", "sparse", "quantized", "quantized:", "quantized:0",
         "quantized:8", "quantized:17", "quantized:33", "quantized:8x",
         "dense "}) {

@@ -72,7 +72,7 @@ class UpdateCodec {
 
   /// Status-returning decode for bytes that crossed a process/network
   /// boundary (src/serve): validates the structure against `expected_dim`
-  /// before allocating and never aborts. The built-in codecs' only
+  /// before allocating and never aborts. It is the built-in codecs' only
   /// parser, so on success the result is bitwise identical to `Decode` of
   /// the same bytes by construction. Thread-safe (const). The default
   /// rejects — codecs opt in.

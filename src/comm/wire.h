@@ -102,8 +102,8 @@ class Writer {
 ///
 /// Every accessor reports truncation as `Status::InvalidArgument` instead
 /// of aborting, so network-supplied bytes can be parsed without trusting
-/// them. Out-parameters (rather than
-/// `Result<T>`) keep the hot ingest path allocation-free.
+/// them. Out-parameters (rather than `Result<T>`) keep the hot ingest
+/// path allocation-free.
 class ReaderView {
  public:
   ReaderView(const uint8_t* data, size_t len) : data_(data), len_(len) {

@@ -9,8 +9,8 @@
 /// clients continue locally. Use with FullParticipationSelector. It is
 /// implemented here so the paper's qualitative claim — that the global
 /// update frequency is throttled by p and all clients bear compute cost
-/// every round — can be measured (see the FedPD integration test and the
-/// Table I notes in EXPERIMENTS.md).
+/// every round — can be measured (see tests/fl/fedpd_test.cc and the
+/// `table1` row of `bench_paper` in the README).
 ///
 /// Communication accounting: on non-communication rounds clients upload
 /// nothing (empty delta), so the simulator's byte counters reflect FedPD's

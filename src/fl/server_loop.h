@@ -24,9 +24,9 @@
 ///     `SimulationConfig::num_shards`. Async aggregates every admitted
 ///     arrival via `FederatedAlgorithm::AggregateOne`; buffered collects
 ///     `buffer_size` admitted arrivals, discounts them by the staleness
-///     weight and applies one batched `ServerUpdate`. Each freed slot is refilled
-///     with a one-client wave against the current θ. A full wave of
-///     consecutive drops with nothing to aggregate emits an all-dropped
+///     weight and applies one batched `ServerUpdate`. Each freed slot is
+///     refilled with a one-client wave against the current θ. A full wave
+///     of consecutive drops with nothing to aggregate emits an all-dropped
 ///     record (NaN train_loss), so a starved deadline still terminates
 ///     after `max_rounds` records.
 ///

@@ -96,10 +96,11 @@ struct SimulationConfig {
   /// client-id partition `client % W` (util/shard.h): its slice of the
   /// client-state store and its partial of the hierarchical server reduce
   /// (vec::AxpyManySharded), combined in fixed shard order. The event
-  /// modes keep one event heap at every W. Every W is deterministic across thread counts; W = 1 is
-  /// bitwise identical to the pre-shard engine, and different W agree up
-  /// to float-summation regrouping (see bench_shard_scale). An explicit
-  /// `sharded:` state_store spec overrides this knob's store partition.
+  /// modes keep one event heap at every W. Every W is deterministic
+  /// across thread counts; W = 1 is bitwise identical to the pre-shard
+  /// engine, and different W agree up to float-summation regrouping (see
+  /// bench_shard_scale). An explicit `sharded:` state_store spec
+  /// overrides this knob's store partition.
   int num_shards = 1;
   /// When non-empty, append crash-safe checkpoints of the whole simulation
   /// (θ, RNG streams, history, per-client state, and the engine's loop

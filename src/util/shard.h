@@ -1,14 +1,15 @@
 /// \file shard.h
 /// \brief The canonical client-id → shard partition function.
 ///
-/// The sharded aggregation server splits every per-client structure — the
-/// event queue's per-worker heaps (sys/event_queue.h), the partitioned
-/// client-state store (state/sharded_store.h) and the hierarchical reduce
-/// partials (tensor/vec.h AxpyManySharded) — by the *same* modulo
-/// partition, so a client's state, its arrival events and its contribution
-/// to the aggregate always land on the same worker. Keeping the function
-/// here, in the dependency-free util layer, is what lets sys, state and
-/// tensor agree without including each other.
+/// The sharded aggregation server splits its per-client structures — the
+/// partitioned client-state store (state/sharded_store.h), the
+/// hierarchical reduce partials (tensor/vec.h AxpyManySharded), the
+/// client executor's shard-major schedule and the serving frontend's
+/// ingest queues (serve/frontend.h) — by the *same* modulo partition, so a
+/// client's state and its contribution to the aggregate always land on the
+/// same worker. Keeping the function here, in the dependency-free util
+/// layer, is what lets state, tensor, fl and serve agree without including
+/// each other.
 
 #ifndef FEDADMM_UTIL_SHARD_H_
 #define FEDADMM_UTIL_SHARD_H_

@@ -2,7 +2,7 @@
 //
 // Covers: W-sharded runs are bitwise deterministic across thread counts
 // in every execution mode (per-shard partials at fixed block boundaries,
-// per-worker heaps merged on (time, sequence)); the integer/schedule
+// one event heap ordered on (time, sequence)); the integer/schedule
 // columns — selection, byte ledgers, simulated time, drops — are bitwise
 // identical across W (sharding regroups float additions, never the
 // schedule); the trajectory stays within float tolerance of W = 1; a

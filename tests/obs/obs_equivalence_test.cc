@@ -1,7 +1,7 @@
 // The zero-perturbation contract: the obs rail only *reads* clocks and
 // bumps counters, so enabling metrics and the trace recorder must leave
-// the training trajectory bitwise identical to a run with everything off. Mirrors the idiom of
-// tests/fl/deterministic_replay_test.cc.
+// the training trajectory bitwise identical to a run with everything off.
+// Mirrors the idiom of tests/fl/deterministic_replay_test.cc.
 
 #include <gtest/gtest.h>
 

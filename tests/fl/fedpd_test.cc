@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "fl/quadratic_problem.h"
 #include "fl/selection.h"
 #include "fl/simulation.h"
+#include "util/file_io.h"
 
 namespace fedadmm {
 namespace {
@@ -87,6 +92,26 @@ TEST(FedPdTest, AllClientsComputeEveryRound) {
   for (const RoundRecord& r : history->records()) {
     EXPECT_EQ(r.num_selected, problem.num_clients());
   }
+}
+
+TEST(FedPdTest, ExtraStateBytesArePinned) {
+  // The extra-state blob rides in every checkpoint: u64 length + the coin
+  // stream's text state, u32 communication rounds, u8 this-round coin.
+  QuadraticProblem problem(Spec());
+  FedPd algo(Local(), 1.0f, 0.5, 7);
+  FullParticipationSelector selector(problem.num_clients());
+  SimulationConfig config;
+  config.max_rounds = 6;
+  config.seed = 5;
+  Simulation sim(&problem, &algo, &selector, config);
+  ASSERT_TRUE(sim.Run().ok());
+  const std::string blob = algo.SerializeExtraState();
+  ASSERT_EQ(blob.size(), 6357u);
+  const std::vector<uint8_t> head(blob.begin(), blob.begin() + 8);
+  EXPECT_EQ(head, (std::vector<uint8_t>{0xC8, 0x18, 0, 0, 0, 0, 0, 0}));  // 6344
+  const std::vector<uint8_t> tail(blob.end() - 5, blob.end());
+  EXPECT_EQ(tail, (std::vector<uint8_t>{0x02, 0x00, 0x00, 0x00, 0x01}));
+  EXPECT_EQ(Crc32(blob.data(), blob.size()), 0x494FF1F3u);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "fl/quadratic_problem.h"
 #include "fl/selection.h"
 #include "fl/simulation.h"
@@ -138,6 +142,29 @@ TEST(ScaffoldTest, RequiresControlDeltasInServerUpdate) {
   UpdateMessage bad;
   bad.delta.assign(8, 0.0f);  // missing delta2
   EXPECT_DEATH(algo.ServerUpdate({bad}, 0, &theta), "control deltas");
+}
+
+TEST(ScaffoldTest, ExtraStateBytesArePinned) {
+  // The extra-state blob rides in every checkpoint: u64 count + the
+  // server control c as raw little-endian fp32.
+  QuadraticProblem problem(Spec());  // m = 6
+  Scaffold algo(Local());
+  std::vector<float> theta(8, 0.0f);
+  algo.Setup(Ctx(problem), theta);
+  UpdateMessage msg;
+  msg.delta.assign(8, 0.0f);
+  for (int k = 0; k < 8; ++k) msg.delta2.push_back(0.25f * (k - 3));
+  algo.ServerUpdate({msg, msg}, 0, &theta);
+  const std::string blob = algo.SerializeExtraState();
+  const std::vector<uint8_t> bytes(blob.begin(), blob.end());
+  const std::vector<uint8_t> expected = {
+      0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // count
+      0x00, 0x00, 0x80, 0xBE, 0xAB, 0xAA, 0x2A, 0xBE,  // -1/4, -1/6
+      0xAB, 0xAA, 0xAA, 0xBD, 0x00, 0x00, 0x00, 0x00,  // -1/12, 0
+      0xAB, 0xAA, 0xAA, 0x3D, 0xAB, 0xAA, 0x2A, 0x3E,  // 1/12, 1/6
+      0x00, 0x00, 0x80, 0x3E, 0xAB, 0xAA, 0xAA, 0x3E,  // 1/4, 1/3
+  };
+  EXPECT_EQ(bytes, expected);
 }
 
 }  // namespace

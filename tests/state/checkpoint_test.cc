@@ -533,7 +533,8 @@ TEST(CheckpointTest, BadCadenceIsRejected) {
   EXPECT_FALSE(sim.Run().ok());
 }
 
-TEST(EventSerializationTest, CompletionEventRoundTripsEveryField) {
+// One event with every field off its default.
+ClientCompletionEvent FixedEvent() {
   ClientCompletionEvent event;
   event.time = 12.75;
   event.sequence = 991;
@@ -555,7 +556,21 @@ TEST(EventSerializationTest, CompletionEventRoundTripsEveryField) {
   event.message.steps_run = 9;
   event.message.final_grad_norm_sq = 0.03125;
   event.message.wire_bytes = 77;
+  return event;
+}
 
+TEST(EventSerializationTest, FixedEventBytesArePinned) {
+  // The in-flight half of an event-mode checkpoint is an on-disk
+  // contract: these bytes must parse on every later build.
+  ByteWriter writer;
+  SerializeClientCompletionEvent(FixedEvent(), &writer);
+  const std::string& blob = writer.str();
+  EXPECT_EQ(blob.size(), 145u);
+  EXPECT_EQ(Crc32(blob.data(), blob.size()), 0xCBE6777Fu);
+}
+
+TEST(EventSerializationTest, CompletionEventRoundTripsEveryField) {
+  const ClientCompletionEvent event = FixedEvent();
   ByteWriter writer;
   SerializeClientCompletionEvent(event, &writer);
   ByteReader reader(writer.str());

@@ -162,6 +162,42 @@ TEST(SlabLogTest, CorruptHeaderRejectsRecord) {
   EXPECT_FALSE(log->ReadAt(offset, &record).ok());
 }
 
+TEST(SlabLogTest, RecordHeaderBytesArePinned) {
+  // The record header is an on-disk contract: a log (and so a checkpoint)
+  // written by an older build must parse byte for byte. magic, type,
+  // client, slot, value, payload length, payload CRC, header CRC — all
+  // little-endian — then the payload itself.
+  const std::string path = TempPath("slab_header_bytes.log");
+  const std::vector<uint8_t> payload = {0xDE, 0xAD, 0xBE, 0xEF, 0x01};
+  {
+    auto log = SlabLog::Open(path, /*truncate=*/true).ValueOrDie();
+    ASSERT_EQ(log->Append(SlabLog::RecordType::kMeta, 0x01020304, 7,
+                          /*value=*/-2, payload)
+                  .ValueOrDie(),
+              0);
+  }
+  std::vector<uint8_t> bytes(64);
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    bytes.resize(std::fread(bytes.data(), 1, bytes.size(), f));
+    std::fclose(f);
+  }
+  const std::vector<uint8_t> expected = {
+      0x53, 0x4C, 0x42, 0x47,                          // magic 'SLBG'
+      0x02,                                            // type kMeta
+      0x04, 0x03, 0x02, 0x01,                          // client
+      0x07, 0x00, 0x00, 0x00,                          // slot
+      0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  // value -2
+      0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // payload length
+      0x52, 0xFB, 0xC7, 0x2E,                          // payload CRC-32
+      0x92, 0xA5, 0x66, 0x1D,                          // header CRC-32
+      0xDE, 0xAD, 0xBE, 0xEF, 0x01,                    // payload
+  };
+  EXPECT_EQ(bytes, expected);
+  RemoveFileIfExists(path);
+}
+
 TEST(ByteCodecTest, WriterReaderRoundTrip) {
   ByteWriter writer;
   writer.U8(7);

@@ -147,7 +147,6 @@ int main() {
     options.local.variable_epochs = true;
     options.rho = StepSchedule(1.0);
     options.eta_active_fraction = true;
-    options.state_store = store;
     FedAdmm algo(options);
 
     UniformFractionSelector base(clients, participation);
@@ -158,6 +157,7 @@ int main() {
     config.seed = 7;
     config.num_threads = threads;
     config.num_shards = w;
+    config.state_store = store;
     Simulation sim(&problem, &algo, &selector, config);
     sim.set_system_model(&model);
     obs::MetricsRegistry::Global().ResetValues();  // scope metrics per W

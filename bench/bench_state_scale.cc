@@ -189,7 +189,6 @@ int main() {
     options.local.variable_epochs = true;
     options.rho = StepSchedule(1.0);
     options.eta_active_fraction = true;
-    options.state_store = store;
     FedAdmm algo(options);
 
     UniformFractionSelector base(clients, participation);
@@ -199,6 +198,7 @@ int main() {
     config.max_rounds = rounds;
     config.seed = 7;
     config.num_threads = 8;
+    config.state_store = store;
     Simulation sim(&problem, &algo, &selector, config);
     sim.set_system_model(&model);
     const auto start = Clock::now();

@@ -6,7 +6,7 @@
 #include "comm/identity.h"
 #include "comm/quantize.h"
 #include "comm/topk.h"
-#include "comm/wire.h"
+#include "util/wire.h"
 
 namespace fedadmm {
 namespace {

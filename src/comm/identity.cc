@@ -1,6 +1,6 @@
 #include "comm/identity.h"
 
-#include "comm/wire.h"
+#include "util/wire.h"
 
 namespace fedadmm {
 
@@ -10,8 +10,7 @@ Payload IdentityCodec::Encode(int64_t stream, const std::vector<float>& v,
   (void)rng;
   Payload payload;
   payload.bytes.reserve(v.size() * sizeof(float));
-  wire::Writer writer(&payload.bytes);
-  for (float x : v) writer.PutF32(x);
+  wire::Writer(&payload.bytes).PutF32s(v);
   return payload;
 }
 
@@ -29,10 +28,7 @@ Result<std::vector<float>> IdentityCodec::TryDecode(
         " bytes, want " + std::to_string(expected_dim) + " * 4");
   }
   std::vector<float> v(static_cast<size_t>(expected_dim));
-  wire::ReaderView reader(data, len);
-  for (size_t i = 0; i < v.size(); ++i) {
-    FEDADMM_RETURN_IF_ERROR(reader.TryF32(&v[i]));
-  }
+  FEDADMM_RETURN_IF_ERROR(wire::ReaderView(data, len).TryF32s(v));
   return {std::move(v)};
 }
 

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <cstdlib>
 
-#include "comm/wire.h"
 #include "tensor/simd/simd.h"
+#include "util/wire.h"
 
 namespace fedadmm {
 namespace {

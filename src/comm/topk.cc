@@ -4,7 +4,7 @@
 #include <cmath>
 #include <numeric>
 
-#include "comm/wire.h"
+#include "util/wire.h"
 
 namespace fedadmm {
 

@@ -18,7 +18,7 @@ void FedAdmm::Setup(const AlgorithmContext& ctx,
   slots[kSlotModel].init.assign(theta0.begin(), theta0.end());
   slots[kSlotDual].dim = ctx.dim;
   auto store = MakeConfiguredClientStateStore(
-      ctx.state_store, options_.state_store, ctx.num_clients,
+      ctx.state_store, DefaultStateStoreSpec(), ctx.num_clients,
       std::move(slots), ctx.num_shards);
   FEDADMM_CHECK_MSG(store.ok(), store.status().ToString());
   store_ = std::move(store).ValueOrDie();

@@ -72,11 +72,6 @@ struct FedAdmmOptions {
   /// Ablation: freeze y_i ≡ 0. The local subproblem then reduces to
   /// FedProx's (and to FedAvg's when additionally ρ = 0) — Section III-B.
   bool freeze_duals = false;
-
-  /// Backend for the per-client (w_i, y_i) pairs (src/state):
-  /// "dense" | "lazy" | "tiered:..." | "sharded:<W>:<inner>". Overridden by
-  /// `SimulationConfig::state_store` when that is non-empty.
-  std::string state_store = "dense";
 };
 
 /// \brief The FedADMM algorithm.
@@ -109,9 +104,7 @@ class FedAdmm : public FederatedAlgorithm {
   int64_t StateBytesResident() const override;
 
   /// Fallback when `SimulationConfig::state_store` is empty.
-  std::string DefaultStateStoreSpec() const override {
-    return options_.state_store;
-  }
+  std::string DefaultStateStoreSpec() const override { return "dense"; }
 
   /// ρ in effect at `round`.
   float RhoAt(int round) const {

@@ -12,9 +12,9 @@
 #include "state/checkpoint.h"
 #include "state/client_state_store.h"
 #include "state/slab_log.h"
-#include "util/file_io.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
+#include "util/wire.h"
 
 namespace fedadmm {
 namespace {
@@ -93,22 +93,33 @@ constexpr uint8_t kEngineBlobVersion = 4;
 // The history rides in the blob as its canonical CSV fields
 // (fl/history_csv.h): `%.17g` doubles round-trip bitwise, NaN sentinels
 // included, so one serializer spells out the record's fields.
-void WriteHistoryBlob(const History& history, ByteWriter* w) {
-  w->U32(static_cast<uint32_t>(history.size()));
+void WriteHistoryBlob(const History& history, wire::Writer* w) {
+  w->PutU32(static_cast<uint32_t>(history.size()));
   for (const RoundRecord& r : history.records()) {
-    for (const std::string& field : RoundCsvRow(r)) w->String(field);
+    for (const std::string& field : RoundCsvRow(r)) w->PutString(field);
   }
 }
 
-Result<History> ReadHistoryBlob(ByteReader* reader) {
+// `config` is the resuming run's: FinalizeRecord evaluated the writer's
+// last round even off the eval_every schedule, and a run that goes on past
+// that round would not have, so its metrics are cleared to the skipped-eval
+// sentinels here.
+Result<History> ReadHistoryBlob(wire::ReaderView* reader,
+                                const SimulationConfig& config) {
   History history;
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t count, reader->U32());
+  uint32_t count = 0;
+  FEDADMM_RETURN_IF_ERROR(reader->TryU32(&count));
   std::vector<std::string> fields(RoundCsvColumns().size());
   for (uint32_t i = 0; i < count; ++i) {
     for (std::string& field : fields) {
-      FEDADMM_ASSIGN_OR_RETURN(field, reader->String());
+      FEDADMM_RETURN_IF_ERROR(reader->TryString(&field));
     }
     FEDADMM_ASSIGN_OR_RETURN(RoundRecord record, RoundFromCsvRow(fields));
+    if (i + 1 == count && record.round % config.eval_every != 0 &&
+        record.round < config.max_rounds - 1) {
+      record.test_accuracy = std::numeric_limits<double>::quiet_NaN();
+      record.test_loss = std::numeric_limits<double>::quiet_NaN();
+    }
     history.Add(record);
   }
   return {std::move(history)};
@@ -217,39 +228,40 @@ Result<std::unique_ptr<SlabLog>> ServerLoop::OpenCheckpointLog() {
 }
 
 Status ServerLoop::Checkpoint(SlabLog* log, const History& history) {
-  ByteWriter writer;
-  writer.U8(kEngineBlobVersion);
-  writer.U8(static_cast<uint8_t>(config_.mode));
-  writer.Floats(theta_);
-  writer.String(selection_rng_.SerializeState());
-  writer.String(algorithm_->SerializeExtraState());
+  std::vector<uint8_t> blob;
+  wire::Writer writer(&blob);
+  writer.PutU8(kEngineBlobVersion);
+  writer.PutU8(static_cast<uint8_t>(config_.mode));
+  writer.PutFloats(theta_);
+  writer.PutString(selection_rng_.SerializeState());
+  writer.PutString(algorithm_->SerializeExtraState());
   WriteHistoryBlob(history, &writer);
-  writer.F64(now_);
-  writer.I64(sequence_);
-  writer.I64(pending_download_bytes_);
-  writer.I64(pending_download_bytes_raw_);
-  writer.U32(static_cast<uint32_t>(wave_counter_));
-  writer.U32(static_cast<uint32_t>(server_version_));
-  writer.U32(static_cast<uint32_t>(concurrency_));
-  writer.U32(static_cast<uint32_t>(pending_dropped_));
-  writer.U32(static_cast<uint32_t>(pending_partial_));
-  writer.U32(static_cast<uint32_t>(drops_since_aggregate_));
-  writer.U32(static_cast<uint32_t>(buffer_.size()));
+  writer.PutF64(now_);
+  writer.PutI64(sequence_);
+  writer.PutI64(pending_download_bytes_);
+  writer.PutI64(pending_download_bytes_raw_);
+  for (const int counter : {wave_counter_, server_version_, concurrency_,
+                            pending_dropped_, pending_partial_,
+                            drops_since_aggregate_}) {
+    writer.PutU32(static_cast<uint32_t>(counter));
+  }
+  writer.PutU32(static_cast<uint32_t>(buffer_.size()));
   for (const ClientCompletionEvent& event : buffer_) {
     SerializeClientCompletionEvent(event, &writer);
   }
-  writer.U32(static_cast<uint32_t>(queue_.size()));
+  writer.PutU32(static_cast<uint32_t>(queue_.size()));
   for (const ClientCompletionEvent& event : queue_.events()) {
     SerializeClientCompletionEvent(event, &writer);
   }
   // The barrier draws its next cohort before this point (the prefetch),
   // so the serialized RNG has already moved past it; the cohort itself
   // must ride along or the restored run would skip it.
-  writer.U32(static_cast<uint32_t>(next_cohort_.size()));
+  writer.PutU32(static_cast<uint32_t>(next_cohort_.size()));
   for (const int client : next_cohort_) {
-    writer.U32(static_cast<uint32_t>(client));
+    writer.PutU32(static_cast<uint32_t>(client));
   }
-  return AppendSimulationCheckpoint(log, history.size(), writer.Take(),
+  return AppendSimulationCheckpoint(log, history.size(),
+                                    std::string(blob.begin(), blob.end()),
                                     algorithm_->mutable_state_store());
 }
 
@@ -264,50 +276,58 @@ Result<bool> ServerLoop::TryRestore(History* history) {
     return loaded.status();
   }
   const SimulationCheckpoint& checkpoint = loaded.ValueOrDie();
-  ByteReader reader(checkpoint.engine_blob);
-  FEDADMM_ASSIGN_OR_RETURN(uint8_t version, reader.U8());
+  wire::ReaderView reader(checkpoint.engine_blob);
+  uint8_t version = 0;
+  FEDADMM_RETURN_IF_ERROR(reader.TryU8(&version));
   if (version != kEngineBlobVersion) {
     return Status::InvalidArgument(
         "Simulation: checkpoint in '" + config_.checkpoint_path +
         "' has engine-blob version " + std::to_string(version) +
         " (this build reads " + std::to_string(kEngineBlobVersion) + ")");
   }
-  FEDADMM_ASSIGN_OR_RETURN(uint8_t mode, reader.U8());
+  uint8_t mode = 0;
+  FEDADMM_RETURN_IF_ERROR(reader.TryU8(&mode));
   if (mode != static_cast<uint8_t>(config_.mode)) {
     return Status::InvalidArgument(
         "Simulation: checkpoint in '" + config_.checkpoint_path +
         "' was written by a different execution mode");
   }
-  FEDADMM_ASSIGN_OR_RETURN(std::vector<float> theta, reader.Floats());
+  std::vector<float> theta;
+  FEDADMM_RETURN_IF_ERROR(reader.TryFloats(&theta));
   if (theta.size() != theta_.size()) {
     return Status::InvalidArgument(
         "Simulation: checkpoint θ dim " + std::to_string(theta.size()) +
         " != problem dim " + std::to_string(theta_.size()));
   }
   theta_ = std::move(theta);
-  FEDADMM_ASSIGN_OR_RETURN(std::string rng_state, reader.String());
+  std::string rng_state;
+  FEDADMM_RETURN_IF_ERROR(reader.TryString(&rng_state));
   FEDADMM_RETURN_IF_ERROR(selection_rng_.RestoreState(rng_state));
-  FEDADMM_ASSIGN_OR_RETURN(std::string extra, reader.String());
+  std::string extra;
+  FEDADMM_RETURN_IF_ERROR(reader.TryString(&extra));
   FEDADMM_RETURN_IF_ERROR(algorithm_->RestoreExtraState(extra));
-  FEDADMM_ASSIGN_OR_RETURN(*history, ReadHistoryBlob(&reader));
-  FEDADMM_ASSIGN_OR_RETURN(now_, reader.F64());
-  FEDADMM_ASSIGN_OR_RETURN(sequence_, reader.I64());
-  FEDADMM_ASSIGN_OR_RETURN(pending_download_bytes_, reader.I64());
-  FEDADMM_ASSIGN_OR_RETURN(pending_download_bytes_raw_, reader.I64());
+  FEDADMM_ASSIGN_OR_RETURN(*history, ReadHistoryBlob(&reader, config_));
+  FEDADMM_RETURN_IF_ERROR(reader.TryF64(&now_));
+  FEDADMM_RETURN_IF_ERROR(reader.TryI64(&sequence_));
+  FEDADMM_RETURN_IF_ERROR(reader.TryI64(&pending_download_bytes_));
+  FEDADMM_RETURN_IF_ERROR(reader.TryI64(&pending_download_bytes_raw_));
   for (int* counter : {&wave_counter_, &server_version_, &concurrency_,
                        &pending_dropped_, &pending_partial_,
                        &drops_since_aggregate_}) {
-    FEDADMM_ASSIGN_OR_RETURN(uint32_t value, reader.U32());
+    uint32_t value = 0;
+    FEDADMM_RETURN_IF_ERROR(reader.TryU32(&value));
     *counter = static_cast<int>(value);
   }
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t buffered, reader.U32());
+  uint32_t buffered = 0;
+  FEDADMM_RETURN_IF_ERROR(reader.TryU32(&buffered));
   buffer_.clear();
   for (uint32_t i = 0; i < buffered; ++i) {
     FEDADMM_ASSIGN_OR_RETURN(ClientCompletionEvent event,
                              DeserializeClientCompletionEvent(&reader));
     buffer_.push_back(std::move(event));
   }
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t queued, reader.U32());
+  uint32_t queued = 0;
+  FEDADMM_RETURN_IF_ERROR(reader.TryU32(&queued));
   for (uint32_t i = 0; i < queued; ++i) {
     FEDADMM_ASSIGN_OR_RETURN(ClientCompletionEvent event,
                              DeserializeClientCompletionEvent(&reader));
@@ -316,10 +336,12 @@ Result<bool> ServerLoop::TryRestore(History* history) {
     in_flight_[static_cast<size_t>(event.client_id)] = 1;
     queue_.Push(std::move(event));
   }
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t pending, reader.U32());
+  uint32_t pending = 0;
+  FEDADMM_RETURN_IF_ERROR(reader.TryU32(&pending));
   next_cohort_.clear();
   for (uint32_t i = 0; i < pending; ++i) {
-    FEDADMM_ASSIGN_OR_RETURN(uint32_t client, reader.U32());
+    uint32_t client = 0;
+    FEDADMM_RETURN_IF_ERROR(reader.TryU32(&client));
     next_cohort_.push_back(static_cast<int>(client));
   }
   if (ClientStateStore* store = algorithm_->mutable_state_store()) {

@@ -1,9 +1,7 @@
 #include "serve/frame.h"
 
-#include <cstring>
-
-#include "comm/wire.h"
 #include "util/rng.h"
+#include "util/wire.h"
 
 namespace fedadmm::serve {
 namespace {
@@ -89,9 +87,7 @@ std::vector<uint8_t> BuildModelFrame(uint32_t round, bool encoded,
   w.PutU8(encoded ? 1 : 0);
   w.PutU64(dim);
   w.PutU32(payload_len);
-  if (payload_len > 0) {
-    std::memcpy(w.Extend(payload_len), payload, payload_len);
-  }
+  w.PutBytes(payload, payload_len);
   return out;
 }
 
@@ -119,12 +115,8 @@ std::vector<uint8_t> BuildUpdateFrame(uint64_t session,
   w.PutU32(header.payload1_len);
   w.PutU64(header.dim2);
   w.PutU32(header.payload2_len);
-  if (header.payload1_len > 0) {
-    std::memcpy(w.Extend(header.payload1_len), payload1, header.payload1_len);
-  }
-  if (header.payload2_len > 0) {
-    std::memcpy(w.Extend(header.payload2_len), payload2, header.payload2_len);
-  }
+  w.PutBytes(payload1, header.payload1_len);
+  w.PutBytes(payload2, header.payload2_len);
   return out;
 }
 
@@ -148,9 +140,7 @@ std::vector<uint8_t> BuildErrorFrame(ErrorCode code,
       BeginFrame(&out, FrameType::kError, 0, 4 + static_cast<uint32_t>(msg_len));
   w.PutU16(static_cast<uint16_t>(code));
   w.PutU16(msg_len);
-  if (msg_len > 0) {
-    std::memcpy(w.Extend(msg_len), message.data(), msg_len);
-  }
+  w.PutBytes(message.data(), msg_len);
   return out;
 }
 

@@ -1,12 +1,11 @@
 #include "serve/frontend.h"
 
 #include <chrono>
-#include <cstring>
 #include <string>
 #include <utility>
 
-#include "comm/wire.h"
 #include "util/shard.h"
+#include "util/wire.h"
 
 namespace fedadmm::serve {
 namespace {
@@ -16,16 +15,11 @@ int64_t RawPayloadBytes(int64_t dim) {
   return dim * static_cast<int64_t>(sizeof(float));
 }
 
-/// Boundary-safe raw-fp32 decode; `len` was validated == dim * 4.
-std::vector<float> DecodeRawFloats(const uint8_t* data, int64_t dim) {
-  std::vector<float> out(static_cast<size_t>(dim));
-  if constexpr (wire::kHostIsLittleEndian) {
-    std::memcpy(out.data(), data, out.size() * sizeof(float));
-  } else {
-    wire::ReaderView r(data, static_cast<size_t>(dim) * sizeof(float));
-    for (float& v : out) (void)r.TryF32(&v);
-  }
-  return out;
+/// Raw-fp32 payload into a d-vector; `len` was validated == dim * 4.
+Status DecodeRawFloats(const uint8_t* data, uint32_t len, uint64_t dim,
+                       std::vector<float>* out) {
+  out->resize(static_cast<size_t>(dim));
+  return wire::ReaderView(data, len).TryF32s(*out);
 }
 
 }  // namespace
@@ -140,16 +134,9 @@ Status Frontend::BeginRound(int round, const std::vector<int>& cohort,
                         downlink.encoded->data(),
                         static_cast<uint32_t>(downlink.encoded->size())));
   } else {
-    std::vector<uint8_t> raw(theta.size() * sizeof(float));
-    if constexpr (wire::kHostIsLittleEndian) {
-      std::memcpy(raw.data(), theta.data(), raw.size());
-    } else {
-      std::vector<uint8_t> le;
-      le.reserve(raw.size());
-      wire::Writer w(&le);
-      for (const float v : theta) w.PutF32(v);
-      raw = std::move(le);
-    }
+    std::vector<uint8_t> raw;
+    raw.reserve(theta.size() * sizeof(float));
+    wire::Writer(&raw).PutF32s(theta);
     state->model_frame = std::make_shared<const std::vector<uint8_t>>(
         BuildModelFrame(static_cast<uint32_t>(round), /*encoded=*/false,
                         static_cast<uint64_t>(dim_), raw.data(),
@@ -560,11 +547,11 @@ Status Frontend::DecodeItem(const ShardItem& item, UpdateMessage* msg) const {
     msg->wire_bytes = static_cast<int64_t>(h.payload1_len) +
                       static_cast<int64_t>(h.payload2_len);
   } else {
-    msg->delta =
-        DecodeRawFloats(item.body.payload1, static_cast<int64_t>(h.dim1));
+    FEDADMM_RETURN_IF_ERROR(DecodeRawFloats(
+        item.body.payload1, h.payload1_len, h.dim1, &msg->delta));
     if (h.dim2 != 0) {
-      msg->delta2 =
-          DecodeRawFloats(item.body.payload2, static_cast<int64_t>(h.dim2));
+      FEDADMM_RETURN_IF_ERROR(DecodeRawFloats(
+          item.body.payload2, h.payload2_len, h.dim2, &msg->delta2));
     }
     msg->wire_bytes = -1;  // raw fp32: UploadBytes falls back to RawBytes
   }

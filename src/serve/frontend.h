@@ -9,13 +9,13 @@
 ///      encoded broadcast when a downlink codec ran, raw θ otherwise) and
 ///      opens a collection slot per cohort member;
 ///   2. admits UPDATE frames on transport threads: parse with
-///      Status-returning `wire::ReaderView` (a hostile byte sequence can
-///      never abort the server), validate session/round/dims/payload
-///      sizes, mirror the straggler policy as a connection-level predicate
-///      (the per-client `StragglerPolicy::Judge` the loop will apply
-///      again), then hand the frame to its aggregation shard
-///      (`ShardOfClient`) through a bounded lock-free ingest queue. A full
-///      queue is backpressure: the client gets ACK(THROTTLED,
+///      Status-returning `wire::ReaderView` (util/wire.h; a hostile byte
+///      sequence can never abort the server), validate session, round,
+///      dims and payload sizes, mirror the straggler policy as a
+///      connection-level predicate (the per-client `StragglerPolicy::Judge`
+///      the loop will apply again), then hand the frame to its aggregation
+///      shard (`ShardOfClient`) through a bounded lock-free ingest queue. A
+///      full queue is backpressure: the client gets ACK(THROTTLED,
 ///      retry_after) and resends — uploads are never silently dropped;
 ///   3. shard workers decode each payload exactly once (zero-copy views
 ///      into the owned frame buffer, riding the SIMD unpack kernels via

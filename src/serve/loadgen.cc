@@ -1,13 +1,12 @@
 #include "serve/loadgen.h"
 
 #include <chrono>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <utility>
 
-#include "comm/wire.h"
 #include "serve/frame.h"
+#include "util/wire.h"
 
 namespace fedadmm::serve {
 namespace {
@@ -18,17 +17,11 @@ double NowSeconds() {
       .count();
 }
 
-/// Serializes a float vector as raw little-endian fp32 payload bytes.
+/// Raw little-endian fp32 payload bytes (the no-codec wire format).
 std::vector<uint8_t> EncodeRawFloats(const std::vector<float>& v) {
   std::vector<uint8_t> out;
-  if constexpr (wire::kHostIsLittleEndian) {
-    out.resize(v.size() * sizeof(float));
-    std::memcpy(out.data(), v.data(), out.size());
-  } else {
-    out.reserve(v.size() * sizeof(float));
-    wire::Writer w(&out);
-    for (const float x : v) w.PutF32(x);
-  }
+  out.reserve(v.size() * sizeof(float));
+  wire::Writer(&out).PutF32s(v);
   return out;
 }
 
@@ -41,13 +34,7 @@ Status DecodeRawFloats(const uint8_t* data, size_t len, uint64_t dim,
         "loadgen: raw broadcast payload size does not match dim");
   }
   out->resize(dim);
-  if constexpr (wire::kHostIsLittleEndian) {
-    std::memcpy(out->data(), data, len);
-  } else {
-    wire::ReaderView r(data, len);
-    for (float& v : *out) FEDADMM_RETURN_IF_ERROR(r.TryF32(&v));
-  }
-  return Status::OK();
+  return wire::ReaderView(data, len).TryF32s(*out);
 }
 
 }  // namespace

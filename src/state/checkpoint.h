@@ -17,8 +17,8 @@
 ///
 /// The engine blob is opaque here: `fl/server_loop.cc` packs whatever its
 /// mode needs (theta, RNG streams, history, algorithm extras, the event
-/// queue) with `util/file_io.h` and hands the bytes down. This layer owns
-/// only the store contents and the commit protocol.
+/// queue) with the `util/wire.h` writer and hands the bytes down. This
+/// layer owns only the store contents and the commit protocol.
 
 #ifndef FEDADMM_STATE_CHECKPOINT_H_
 #define FEDADMM_STATE_CHECKPOINT_H_

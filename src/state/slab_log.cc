@@ -2,6 +2,9 @@
 
 #include <cstring>
 #include <utility>
+#include <vector>
+
+#include "util/wire.h"
 
 namespace fedadmm {
 namespace {
@@ -37,18 +40,19 @@ Result<std::unique_ptr<SlabLog>> SlabLog::Open(const std::string& path,
 Result<int64_t> SlabLog::Append(RecordType type, int client, int slot,
                                 int64_t value,
                                 std::span<const uint8_t> payload) {
-  ByteWriter header;
-  header.U32(kMagic);
-  header.U8(static_cast<uint8_t>(type));
-  header.U32(static_cast<uint32_t>(client));
-  header.U32(static_cast<uint32_t>(slot));
-  header.I64(value);
-  header.U64(payload.size());
-  header.U32(Crc32(payload.data(), payload.size()));
-  header.U32(Crc32(header.str().data(), header.size()));
+  std::vector<uint8_t> header;
+  header.reserve(kHeaderSize);
+  wire::Writer w(&header);
+  w.PutU32(kMagic);
+  w.PutU8(static_cast<uint8_t>(type));
+  w.PutU32(static_cast<uint32_t>(client));
+  w.PutU32(static_cast<uint32_t>(slot));
+  w.PutI64(value);
+  w.PutU64(payload.size());
+  w.PutU32(Crc32(payload.data(), payload.size()));
+  w.PutU32(Crc32(header.data(), header.size()));
   int64_t offset = 0;
-  FEDADMM_RETURN_IF_ERROR(
-      file_.Append(header.str().data(), header.size(), &offset));
+  FEDADMM_RETURN_IF_ERROR(file_.Append(header.data(), header.size(), &offset));
   if (!payload.empty()) {
     FEDADMM_RETURN_IF_ERROR(file_.Append(payload.data(), payload.size()));
   }
@@ -70,16 +74,24 @@ Status SlabLog::ReadRecord(int64_t offset, Record* out, bool* valid) const {
   }
   uint8_t header[kHeaderSize];
   FEDADMM_RETURN_IF_ERROR(file_.ReadAt(offset, header, kHeaderSize));
-  ByteReader reader(
-      std::string_view(reinterpret_cast<const char*>(header), kHeaderSize));
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t magic, reader.U32());
-  FEDADMM_ASSIGN_OR_RETURN(uint8_t type, reader.U8());
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t client, reader.U32());
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t slot, reader.U32());
-  FEDADMM_ASSIGN_OR_RETURN(int64_t value, reader.I64());
-  FEDADMM_ASSIGN_OR_RETURN(uint64_t payload_len, reader.U64());
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t payload_crc, reader.U32());
-  FEDADMM_ASSIGN_OR_RETURN(uint32_t header_crc, reader.U32());
+  // A fixed-size buffer, so the parse below cannot run short.
+  wire::ReaderView reader(header, kHeaderSize);
+  uint32_t magic = 0;
+  uint8_t type = 0;
+  uint32_t client = 0;
+  uint32_t slot = 0;
+  int64_t value = 0;
+  uint64_t payload_len = 0;
+  uint32_t payload_crc = 0;
+  uint32_t header_crc = 0;
+  FEDADMM_RETURN_IF_ERROR(reader.TryU32(&magic));
+  FEDADMM_RETURN_IF_ERROR(reader.TryU8(&type));
+  FEDADMM_RETURN_IF_ERROR(reader.TryU32(&client));
+  FEDADMM_RETURN_IF_ERROR(reader.TryU32(&slot));
+  FEDADMM_RETURN_IF_ERROR(reader.TryI64(&value));
+  FEDADMM_RETURN_IF_ERROR(reader.TryU64(&payload_len));
+  FEDADMM_RETURN_IF_ERROR(reader.TryU32(&payload_crc));
+  FEDADMM_RETURN_IF_ERROR(reader.TryU32(&header_crc));
   if (magic != kMagic || !ValidType(type) ||
       header_crc != Crc32(header, kHeaderBody)) {
     return Status::OK();

@@ -10,7 +10,7 @@
 ///     meta + slab + commit record groups; recovery replays the last group
 ///     whose commit landed.
 ///
-/// Record layout (all little-endian, `util/file_io.h` encoding):
+/// Record layout (all little-endian, `util/wire.h` encoding):
 ///
 ///   u32 magic        'SLBG'
 ///   u8  type         1 = slab, 2 = meta, 3 = commit

@@ -33,8 +33,10 @@
 
 namespace fedadmm {
 
-class ByteReader;
-class ByteWriter;
+namespace wire {
+class ReaderView;
+class Writer;
+}  // namespace wire
 
 /// \brief One client's upload arriving (or being cut off) at the server.
 struct ClientCompletionEvent {
@@ -59,14 +61,14 @@ struct ClientCompletionEvent {
 };
 
 /// \brief Serializes every field of `event` (timing, decision, and the
-/// full update message) in the `util/file_io.h` encoding — the in-flight
+/// full update message) in the `util/wire.h` encoding — the in-flight
 /// half of an event-mode checkpoint.
 void SerializeClientCompletionEvent(const ClientCompletionEvent& event,
-                                    ByteWriter* writer);
+                                    wire::Writer* writer);
 
 /// \brief Inverse of `SerializeClientCompletionEvent`.
 Result<ClientCompletionEvent> DeserializeClientCompletionEvent(
-    ByteReader* reader);
+    wire::ReaderView* reader);
 
 /// \brief Builds a completion event: times the client's actual work via
 /// `ComputeClientTiming`, applies `policy` as the admission predicate, and

@@ -5,9 +5,9 @@
 /// identical in every kernel table; both the scalar and the AVX2
 /// translation units inline them for the widths that have no wider
 /// specialization. Packing is byte-for-byte equivalent to
-/// `wire::BitPacker`, but writes straight into a caller-sized buffer
-/// instead of pushing single bytes through a `wire::Writer`; unpacking is
-/// its inverse.
+/// `wire::BitPacker` (util/wire.h), but writes straight into a
+/// caller-sized buffer instead of pushing single bytes through a
+/// `wire::Writer`; unpacking is its inverse.
 
 #ifndef FEDADMM_TENSOR_SIMD_PACK_INLINE_H_
 #define FEDADMM_TENSOR_SIMD_PACK_INLINE_H_

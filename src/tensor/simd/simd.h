@@ -140,7 +140,8 @@ struct KernelTable {
                           int levels, float* out);
   /// Packs n codes of `bits` (1..16) bits each, little-endian within and
   /// across bytes, final partial byte zero-padded — byte-identical to
-  /// `wire::BitPacker`. `out` must hold BitPacker::PackedBytes(n, bits).
+  /// `wire::BitPacker` (util/wire.h). `out` must hold
+  /// BitPacker::PackedBytes(n, bits).
   void (*pack_codes)(const uint16_t* codes, size_t n, int bits, uint8_t* out);
   /// Inverse of `pack_codes`; reads PackedBytes(n, bits) bytes.
   void (*unpack_codes)(const uint8_t* bytes, size_t n, int bits,

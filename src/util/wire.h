@@ -1,25 +1,40 @@
 /// \file wire.h
-/// \brief Byte-level primitives for codec wire formats.
+/// \brief The one little-endian byte layer: every byte that leaves the
+/// process goes through `Writer` and comes back through `ReaderView`.
 ///
-/// Every codec serializes to little-endian bytes through these helpers so
-/// `WireBytes()` accounting is exact by construction and payloads are
-/// portable across hosts of the same endianness class. There is one
-/// reader, `ReaderView`, which reports truncation as a Status: bytes that
-/// crossed a process/network boundary (src/serve) are inputs, not bugs,
-/// and must never abort. In-process payloads go through the same reader —
-/// a codec's aborting `Decode` is its `TryDecode` plus a CHECK
-/// (comm/codec.h).
+/// That covers codec payloads (comm/), serve frames (serve/frame.h), the
+/// slab-log record header (state/slab_log.h), event-queue records
+/// (sys/event_queue.h), the engine checkpoint blob (fl/server_loop.cc)
+/// and the algorithms' extra state. This header is the only code that
+/// knows the host's byte order, and the only code that lays out an fp32
+/// vector (`PutF32s` / `TryF32s`: raw little-endian bit patterns, no
+/// prefix; `PutFloats` / `TryFloats` add a u64 count). Fixed-width fields
+/// are little-endian regardless of host, so `WireBytes()` accounting is
+/// exact by construction. The one exception is the slab-log payload of a
+/// client-state slab (`SlabLog::AppendFloats` / `ReadFloatsAt`, and the
+/// checkpoint's copy of it): a host-order memcpy, because it is the
+/// tiered store's spill path, and the same bytes as `PutF32s` on a
+/// little-endian host.
 ///
-/// On little-endian hosts the fixed-width paths are single memcpys (the
-/// per-byte shift loops remain as the big-endian fallback and the byte
-/// contract: tests/comm/wire_view_test.cc pins both against hardcoded
-/// little-endian sequences).
+/// `ReaderView` reports truncation as one Status,
+/// `InvalidArgument("wire: truncated payload")`, and never aborts: bytes
+/// that crossed a process, network or disk boundary are inputs, not bugs.
+/// In-process payloads go through the same reader — a codec's aborting
+/// `Decode` is its `TryDecode` plus a CHECK (comm/codec.h).
+///
+/// On little-endian hosts the fixed-width and fp32-vector paths are
+/// memcpys; the per-byte shift loops remain as the big-endian fallback and
+/// the byte contract (tests/comm/wire_view_test.cc pins both against
+/// hardcoded little-endian sequences).
 
-#ifndef FEDADMM_COMM_WIRE_H_
-#define FEDADMM_COMM_WIRE_H_
+#ifndef FEDADMM_UTIL_WIRE_H_
+#define FEDADMM_UTIL_WIRE_H_
 
 #include <cstdint>
 #include <cstring>
+#include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -85,6 +100,36 @@ class Writer {
     PutU64(bits);
   }
 
+  void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
+
+  /// Raw bytes, no length prefix (the caller frames them).
+  void PutBytes(const void* data, size_t n) {
+    if (n == 0) return;  // `data` may be null then
+    const auto* p = static_cast<const uint8_t*>(data);
+    out_->insert(out_->end(), p, p + n);
+  }
+
+  /// u64 length prefix + raw bytes.
+  void PutString(std::string_view s) {
+    PutU64(s.size());
+    PutBytes(s.data(), s.size());
+  }
+
+  /// Raw little-endian fp32 bit patterns, no prefix.
+  void PutF32s(std::span<const float> v) {
+    if constexpr (kHostIsLittleEndian) {
+      PutBytes(v.data(), v.size_bytes());
+    } else {
+      for (const float x : v) PutF32(x);
+    }
+  }
+
+  /// u64 count prefix + `PutF32s`.
+  void PutFloats(std::span<const float> v) {
+    PutU64(v.size());
+    PutF32s(v);
+  }
+
   /// Appends `n` uninitialized-content (zeroed) bytes and returns a pointer
   /// to them, for block writers (e.g. SIMD bit packing) that produce whole
   /// regions at once. The pointer is invalidated by any further append.
@@ -109,6 +154,10 @@ class ReaderView {
   ReaderView(const uint8_t* data, size_t len) : data_(data), len_(len) {
     FEDADMM_CHECK(data != nullptr || len == 0);
   }
+  /// Over a byte string (checkpoint blobs, algorithm extra state).
+  explicit ReaderView(std::string_view bytes)
+      : ReaderView(reinterpret_cast<const uint8_t*>(bytes.data()),
+                   bytes.size()) {}
 
   Status TryU8(uint8_t* out) {
     if (pos_ + 1 > len_) return Truncated();
@@ -168,6 +217,53 @@ class ReaderView {
     uint64_t bits = 0;
     FEDADMM_RETURN_IF_ERROR(TryU64(&bits));
     std::memcpy(out, &bits, sizeof(*out));
+    return Status::OK();
+  }
+
+  Status TryI64(int64_t* out) {
+    uint64_t bits = 0;
+    FEDADMM_RETURN_IF_ERROR(TryU64(&bits));
+    *out = static_cast<int64_t>(bits);
+    return Status::OK();
+  }
+
+  /// Reads `out.size()` raw little-endian fp32 values (the `PutF32s`
+  /// layout).
+  Status TryF32s(std::span<float> out) {
+    const uint8_t* src = nullptr;
+    FEDADMM_RETURN_IF_ERROR(TrySkip(out.size_bytes(), &src));
+    if constexpr (kHostIsLittleEndian) {
+      // memcpy forbids a null pointer even at length 0.
+      if (!out.empty()) std::memcpy(out.data(), src, out.size_bytes());
+    } else {
+      for (size_t i = 0; i < out.size(); ++i) {
+        uint32_t bits = 0;
+        for (size_t b = 0; b < 4; ++b) {
+          bits |= static_cast<uint32_t>(src[4 * i + b]) << (8 * b);
+        }
+        std::memcpy(&out[i], &bits, sizeof(bits));
+      }
+    }
+    return Status::OK();
+  }
+
+  /// u64 count prefix + `TryF32s` (the `PutFloats` layout). A count past
+  /// the end is truncation, caught before anything is allocated.
+  Status TryFloats(std::vector<float>* out) {
+    uint64_t count = 0;
+    FEDADMM_RETURN_IF_ERROR(TryU64(&count));
+    if (count > remaining() / sizeof(float)) return Truncated();
+    out->resize(static_cast<size_t>(count));
+    return TryF32s(*out);
+  }
+
+  /// u64 length prefix + raw bytes (the `PutString` layout).
+  Status TryString(std::string* out) {
+    uint64_t len = 0;
+    FEDADMM_RETURN_IF_ERROR(TryU64(&len));
+    const uint8_t* src = nullptr;
+    FEDADMM_RETURN_IF_ERROR(TrySkip(static_cast<size_t>(len), &src));
+    out->assign(reinterpret_cast<const char*>(src), static_cast<size_t>(len));
     return Status::OK();
   }
 
@@ -237,4 +333,4 @@ class BitPacker {
 
 }  // namespace fedadmm::wire
 
-#endif  // FEDADMM_COMM_WIRE_H_
+#endif  // FEDADMM_UTIL_WIRE_H_

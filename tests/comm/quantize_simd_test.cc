@@ -16,10 +16,10 @@
 #include <vector>
 
 #include "comm/quantize.h"
-#include "comm/wire.h"
 #include "gtest/gtest.h"
 #include "tensor/simd/simd.h"
 #include "util/rng.h"
+#include "util/wire.h"
 
 namespace fedadmm {
 namespace {

@@ -1,17 +1,20 @@
-// The wire layer's byte primitives. Pins (a) the little-endian byte
-// layout of Writer against hardcoded bytes — the memcpy fast paths must be
-// byte-identical to the historical per-byte shift loops, or every payload
-// on disk and on the wire silently changes — and (b) the Status-returning
-// ReaderView, the one parser: it round-trips Writer output bitwise and
-// reports truncation as a clean InvalidArgument (never an abort).
+// The byte layer under every codec, frame, slab-log record and checkpoint
+// blob (util/wire.h). Pins (a) the little-endian byte layout of Writer
+// against hardcoded bytes — the memcpy fast paths must be byte-identical
+// to the historical per-byte shift loops, or every payload on disk and on
+// the wire silently changes — and (b) the Status-returning ReaderView,
+// the one parser: it round-trips Writer output bitwise and reports
+// truncation as a clean InvalidArgument (never an abort).
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
-#include "comm/wire.h"
+#include "util/wire.h"
 
 namespace fedadmm::wire {
 namespace {
@@ -23,11 +26,21 @@ TEST(WireWriterTest, LayoutMatchesHardcodedLittleEndianBytes) {
   w.PutU16(0x1234);
   w.PutU32(0x89ABCDEFu);
   w.PutU64(0x0123456789ABCDEFull);
+  w.PutI64(-2);
+  w.PutString("ok");
+  w.PutFloats(std::vector<float>{1.0f, -2.0f});
+  w.PutF32s(std::vector<float>{0.5f});
   const std::vector<uint8_t> expected = {
       0xAB,                                            // u8
       0x34, 0x12,                                      // u16 LE
       0xEF, 0xCD, 0xAB, 0x89,                          // u32 LE
       0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01,  // u64 LE
+      0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,  // i64 -2
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // string: u64 length
+      'o', 'k',                                        //   raw bytes
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // floats: u64 count
+      0x00, 0x00, 0x80, 0x3F, 0x00, 0x00, 0x00, 0xC0,  //   1.0f, -2.0f
+      0x00, 0x00, 0x00, 0x3F,                          // f32s: 0.5f, no prefix
   };
   EXPECT_EQ(out, expected);
 }
@@ -94,6 +107,61 @@ TEST(ReaderViewTest, RoundTripsWriterOutput) {
   EXPECT_EQ(f64, 1e300);
   EXPECT_EQ(view.remaining(), 0u);
   EXPECT_EQ(view.consumed(), out.size());
+}
+
+TEST(ReaderViewTest, RoundTripsPrefixedFields) {
+  std::vector<uint8_t> out;
+  Writer w(&out);
+  w.PutI64(-42);
+  w.PutString("fedadmm");
+  w.PutString("");
+  w.PutFloats(std::vector<float>{1.0f, -2.0f, 0.25f});
+  w.PutFloats(std::vector<float>{});
+  w.PutF32s(std::vector<float>{3.0f, -0.0f});
+
+  ReaderView view(out.data(), out.size());
+  int64_t i64 = 0;
+  std::string text = "stale";
+  std::string empty = "stale";
+  std::vector<float> floats;
+  std::vector<float> none = {9.0f};
+  std::vector<float> raw(2);
+  ASSERT_TRUE(view.TryI64(&i64).ok());
+  ASSERT_TRUE(view.TryString(&text).ok());
+  ASSERT_TRUE(view.TryString(&empty).ok());
+  ASSERT_TRUE(view.TryFloats(&floats).ok());
+  ASSERT_TRUE(view.TryFloats(&none).ok());
+  ASSERT_TRUE(view.TryF32s(raw).ok());
+  EXPECT_EQ(i64, -42);
+  EXPECT_EQ(text, "fedadmm");
+  EXPECT_EQ(empty, "");
+  EXPECT_EQ(floats, (std::vector<float>{1.0f, -2.0f, 0.25f}));
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(raw, (std::vector<float>{3.0f, -0.0f}));
+  EXPECT_TRUE(std::signbit(raw[1]));
+  EXPECT_EQ(view.remaining(), 0u);
+}
+
+TEST(ReaderViewTest, PrefixPastTheEndIsTruncation) {
+  // A length or count larger than what follows is truncation, reported
+  // before anything is allocated for it.
+  std::vector<uint8_t> out;
+  Writer w(&out);
+  w.PutU64(~0ull);
+  w.PutU8(7);
+  std::vector<float> floats;
+  ReaderView as_floats(out.data(), out.size());
+  const Status floats_status = as_floats.TryFloats(&floats);
+  EXPECT_TRUE(floats_status.IsInvalidArgument());
+  EXPECT_EQ(floats_status.message(), "wire: truncated payload");
+  std::string text;
+  ReaderView as_string(out.data(), out.size());
+  const Status string_status = as_string.TryString(&text);
+  EXPECT_TRUE(string_status.IsInvalidArgument());
+  EXPECT_EQ(string_status.message(), "wire: truncated payload");
+  std::vector<float> raw(1);
+  ReaderView short_raw(out.data(), 3);
+  EXPECT_FALSE(short_raw.TryF32s(raw).ok());
 }
 
 TEST(ReaderViewTest, TruncationIsStatusNotAbort) {

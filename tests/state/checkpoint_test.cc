@@ -31,6 +31,7 @@
 #include "sys/event_queue.h"
 #include "sys/system_model.h"
 #include "util/file_io.h"
+#include "util/wire.h"
 
 namespace fedadmm {
 namespace {
@@ -186,6 +187,28 @@ TEST(CheckpointTest, ResumeRestoresEveryHistoryField) {
   RemoveFileIfExists(path);
 }
 
+TEST(CheckpointTest, ExtendedRunDropsForcedEvalOfItsOldLastRound) {
+  // A run always evaluates its last round. Round 5 of a 6-round run at
+  // eval_every = 3 is off the schedule, so once the run is extended past
+  // it, the record must read NaN as in the uninterrupted run.
+  auto run = [](int rounds, const std::string& path, bool restore) {
+    return RunSyncOnce("FedADMM", rounds, path, restore, "lazy", 3);
+  };
+  const RunOutput reference = run(kRounds, "", false);
+  const std::string path = TempPath("ckpt_sync_extend_eval3.slab");
+  RemoveFileIfExists(path);
+  const RunOutput first = run(kHalf, path, false);
+  ASSERT_FALSE(std::isnan(first.history.records()[kHalf - 1].test_accuracy));
+  // Restored as finished, the forced evaluation is still its last round's.
+  const RunOutput finished = run(kHalf, path, true);
+  ExpectSameRecords(first.history, finished.history);
+  const RunOutput extended = run(kRounds, path, true);
+  EXPECT_EQ(reference.theta, extended.theta);
+  EXPECT_TRUE(std::isnan(extended.history.records()[kHalf - 1].test_loss));
+  ExpectSameRecords(reference.history, extended.history);
+  RemoveFileIfExists(path);
+}
+
 TEST(CheckpointTest, OlderEngineBlobVersionIsRejected) {
   const std::string path = TempPath("ckpt_blob_v3.slab");
   RemoveFileIfExists(path);
@@ -219,6 +242,38 @@ TEST(CheckpointTest, OlderEngineBlobVersionIsRejected) {
       << result.status().message();
   EXPECT_NE(result.status().message().find("engine-blob version 3"),
             std::string::npos);
+  RemoveFileIfExists(path);
+}
+
+TEST(CheckpointTest, TruncatedEngineBlobReportsTruncation) {
+  // A blob cut short inside a CRC-valid group is a parse error with the
+  // byte layer's one truncation status, not a fresh start.
+  const std::string path = TempPath("ckpt_blob_cut.slab");
+  RemoveFileIfExists(path);
+  RunSyncOnce("FedADMM", kHalf, path, false);
+  std::string blob =
+      LoadLatestSimulationCheckpoint(path).ValueOrDie().engine_blob;
+  blob.resize(blob.size() / 2);
+  {
+    auto log = SlabLog::Open(path, /*truncate=*/false).ValueOrDie();
+    ASSERT_TRUE(
+        AppendSimulationCheckpoint(log.get(), kHalf, blob, nullptr).ok());
+  }
+  QuadraticProblem problem(Spec());
+  auto algo = MakeAlgo("FedADMM");
+  auto selector = MakeSelector("FedADMM");
+  SimulationConfig config;
+  config.max_rounds = kRounds;
+  config.seed = 33;
+  config.state_store = "lazy";
+  config.checkpoint_path = path;
+  config.restore_from_checkpoint = true;
+  Simulation sim(&problem, algo.get(), selector.get(), config);
+  const auto result = sim.Run();
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument())
+      << result.status().message();
+  EXPECT_EQ(result.status().message(), "wire: truncated payload");
   RemoveFileIfExists(path);
 }
 
@@ -562,21 +617,22 @@ ClientCompletionEvent FixedEvent() {
 TEST(EventSerializationTest, FixedEventBytesArePinned) {
   // The in-flight half of an event-mode checkpoint is an on-disk
   // contract: these bytes must parse on every later build.
-  ByteWriter writer;
+  std::vector<uint8_t> blob;
+  wire::Writer writer(&blob);
   SerializeClientCompletionEvent(FixedEvent(), &writer);
-  const std::string& blob = writer.str();
   EXPECT_EQ(blob.size(), 145u);
   EXPECT_EQ(Crc32(blob.data(), blob.size()), 0xCBE6777Fu);
 }
 
 TEST(EventSerializationTest, CompletionEventRoundTripsEveryField) {
   const ClientCompletionEvent event = FixedEvent();
-  ByteWriter writer;
+  std::vector<uint8_t> blob;
+  wire::Writer writer(&blob);
   SerializeClientCompletionEvent(event, &writer);
-  ByteReader reader(writer.str());
+  wire::ReaderView reader(blob.data(), blob.size());
   const ClientCompletionEvent decoded =
       DeserializeClientCompletionEvent(&reader).ValueOrDie();
-  EXPECT_TRUE(reader.empty());
+  EXPECT_EQ(reader.remaining(), 0u);
 
   EXPECT_EQ(decoded.time, event.time);
   EXPECT_EQ(decoded.sequence, event.sequence);

@@ -198,28 +198,5 @@ TEST(SlabLogTest, RecordHeaderBytesArePinned) {
   RemoveFileIfExists(path);
 }
 
-TEST(ByteCodecTest, WriterReaderRoundTrip) {
-  ByteWriter writer;
-  writer.U8(7);
-  writer.U32(123456u);
-  writer.I64(-42);
-  writer.F64(3.5);
-  writer.String("fedadmm");
-  writer.Floats(std::vector<float>{1.0f, -2.0f, 0.25f});
-  const std::string blob = writer.Take();
-
-  ByteReader reader(blob);
-  EXPECT_EQ(reader.U8().ValueOrDie(), 7);
-  EXPECT_EQ(reader.U32().ValueOrDie(), 123456u);
-  EXPECT_EQ(reader.I64().ValueOrDie(), -42);
-  EXPECT_EQ(reader.F64().ValueOrDie(), 3.5);
-  EXPECT_EQ(reader.String().ValueOrDie(), "fedadmm");
-  EXPECT_EQ(reader.Floats().ValueOrDie(),
-            (std::vector<float>{1.0f, -2.0f, 0.25f}));
-  EXPECT_TRUE(reader.empty());
-  // Exhausted buffer: further reads are IoError, not garbage.
-  EXPECT_FALSE(reader.U8().ok());
-}
-
 }  // namespace
 }  // namespace fedadmm

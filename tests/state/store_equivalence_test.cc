@@ -189,14 +189,20 @@ TEST(StateStoreConfigTest, BadSpecFailsFastWithStatus) {
   EXPECT_NE(result.status().message().find("zstd"), std::string::npos);
 }
 
+// FedADMM whose own fallback spec is unparseable.
+class BadDefaultStoreFedAdmm : public FedAdmm {
+ public:
+  using FedAdmm::FedAdmm;
+  std::string DefaultStateStoreSpec() const override { return "quantized:20"; }
+};
+
 TEST(StateStoreConfigTest, BadAlgorithmDefaultSpecAlsoFailsFast) {
-  // The options-level path: SimulationConfig::state_store empty, the
+  // The algorithm-default path: SimulationConfig::state_store empty, the
   // algorithm's own default bad — still a Status, not a CHECK mid-Setup.
   QuadraticProblem problem(Spec());
   FedAdmmOptions options;
   options.eta_active_fraction = true;
-  options.state_store = "quantized:20";
-  FedAdmm algo(options);
+  BadDefaultStoreFedAdmm algo(options);
   UniformFractionSelector selector(kClients, 0.5);
   SimulationConfig config;
   config.max_rounds = 2;
